@@ -170,17 +170,33 @@ impl ConceptSequenceStream {
     pub fn schedule(&self) -> &DriftSchedule {
         &self.schedule
     }
-}
 
-impl DataStream for ConceptSequenceStream {
-    fn next_instance(&mut self) -> Option<Instance> {
+    /// Picks the concept the next instance comes from: the active one, or
+    /// during a transition window the next one with probability `α` (one
+    /// RNG draw, taken only inside a window).
+    fn pick_concept(&mut self) -> &mut Box<dyn DataStream + Send> {
         let (active, alpha) = self.schedule.concept_at(self.counter);
         let active = active.min(self.concepts.len() - 1);
         let use_next =
             alpha > 0.0 && active + 1 < self.concepts.len() && self.rng.gen::<f64>() < alpha;
         let source = if use_next { active + 1 } else { active };
-        let mut inst = self.concepts[source].next_instance()?;
+        &mut self.concepts[source]
+    }
+}
+
+impl DataStream for ConceptSequenceStream {
+    fn next_instance(&mut self) -> Option<Instance> {
+        let mut inst = self.pick_concept().next_instance()?;
         inst.index = self.counter;
+        self.counter += 1;
+        Some(inst)
+    }
+
+    fn next_instance_of_class(&mut self, class: usize) -> Option<Option<Instance>> {
+        let mut inst = self.pick_concept().next_instance_of_class(class)?;
+        if let Some(inst) = inst.as_mut() {
+            inst.index = self.counter;
+        }
         self.counter += 1;
         Some(inst)
     }
@@ -201,7 +217,8 @@ impl DataStream for ConceptSequenceStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{AgrawalGenerator, RandomRbfGenerator};
+    use crate::generators::{AgrawalGenerator, GaussianMixtureGenerator, RandomRbfGenerator};
+    use crate::stream::lockstep::assert_class_pulls_agree;
     use crate::stream::StreamExt;
 
     #[test]
@@ -291,6 +308,31 @@ mod tests {
         assert_eq!(sample.len(), 2000);
         // Indices are re-stamped by the wrapper.
         assert_eq!(sample[1999].index, 1999);
+    }
+
+    #[test]
+    fn class_pulls_through_boxed_concepts_skip_in_lockstep() {
+        // Gradual and incremental windows both draw α per pull; the second
+        // concept is a mixture, so both class-first overrides sit behind the
+        // `Box<dyn DataStream + Send>` forward.
+        let build = || {
+            let concepts: Vec<Box<dyn DataStream + Send>> = vec![
+                Box::new(RandomRbfGenerator::new(6, 4, 2, 0.002, 21)),
+                Box::new(GaussianMixtureGenerator::balanced(6, 4, 2, 22)),
+                Box::new(RandomRbfGenerator::new(6, 4, 3, 0.0, 23)),
+            ];
+            let schedule = DriftSchedule {
+                events: vec![
+                    DriftEvent { position: 150, width: 120, kind: DriftKind::Gradual },
+                    DriftEvent { position: 400, width: 160, kind: DriftKind::Incremental },
+                ],
+            };
+            ConceptSequenceStream::new(concepts, schedule, 5)
+        };
+        let (mut a, mut b) = (build(), build());
+        let targets = (0..200).map(|i| (i * 3 + i / 5) % 4);
+        assert_class_pulls_agree(&mut a, &mut b, targets);
+        assert!(a.counter > 560, "the pulls must cross both windows, got {}", a.counter);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::gaussian_features;
 use crate::instance::{Instance, StreamSchema};
 use crate::stream::DataStream;
 
@@ -71,21 +72,20 @@ impl GaussianMixtureGenerator {
     /// Generates one instance of the requested class.
     pub fn generate_for_class(&mut self, class: usize) -> Instance {
         assert!(class < self.schema.num_classes, "class {class} out of range");
+        self.draw(class, true).expect("a kept draw builds an instance")
+    }
+
+    /// The one draw sequence behind every instance of `class`: the cluster
+    /// index, then [`gaussian_features`]' two uniforms per feature, then
+    /// the counter. With `keep == false` the draws are consumed but no
+    /// instance is built, which is how
+    /// [`DataStream::next_instance_of_class`] skips a rejected candidate.
+    fn draw(&mut self, class: usize, keep: bool) -> Option<Instance> {
         let cluster = self.rng.gen_range(0..self.clusters_per_class);
-        let (mean, spread) = {
-            let c = &self.classes[class];
-            (c.means[cluster].clone(), c.spreads[cluster])
-        };
-        let features: Vec<f64> = mean
-            .iter()
-            .map(|&m| {
-                let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = self.rng.gen::<f64>();
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                m + z * spread
-            })
-            .collect();
-        let inst = Instance::with_index(features, class, self.counter);
+        let c = &self.classes[class];
+        let features =
+            gaussian_features(&mut self.rng, &c.means[cluster], c.spreads[cluster], keep);
+        let inst = keep.then(|| Instance::with_index(features, class, self.counter));
         self.counter += 1;
         inst
     }
@@ -134,6 +134,11 @@ impl DataStream for GaussianMixtureGenerator {
         Some(self.generate_for_class(class))
     }
 
+    fn next_instance_of_class(&mut self, class: usize) -> Option<Option<Instance>> {
+        let drawn = self.rng.gen_range(0..self.schema.num_classes);
+        Some(self.draw(drawn, drawn == class))
+    }
+
     fn schema(&self) -> &StreamSchema {
         &self.schema
     }
@@ -153,6 +158,7 @@ impl DataStream for GaussianMixtureGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::lockstep::assert_class_pulls_agree;
     use crate::stream::StreamExt;
 
     #[test]
@@ -206,6 +212,23 @@ mod tests {
         g.shift_classes(&[0, 1], 0.5);
         g.restart();
         assert_eq!(a, g.take_instances(150));
+    }
+
+    #[test]
+    fn class_pulls_skip_in_lockstep_with_filtered_pulls() {
+        for features in [1, 7, 40, 80] {
+            for classes in [2, 5, 20] {
+                for clusters in 1..=3 {
+                    let seed = (features * 1000 + classes * 10 + clusters) as u64;
+                    let mut a =
+                        GaussianMixtureGenerator::balanced(features, classes, clusters, seed);
+                    let mut b =
+                        GaussianMixtureGenerator::balanced(features, classes, clusters, seed);
+                    let targets = (0..30).map(|i| (i * 7 + 3) % classes);
+                    assert_class_pulls_agree(&mut a, &mut b, targets);
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,35 @@ pub use random_tree::RandomTreeGenerator;
 pub use rbf::RandomRbfGenerator;
 pub use sea::SeaGenerator;
 
+use rand::rngs::StdRng;
+use rand::Rng;
+
+/// Draws the features of one spherical-Gaussian instance: `m + z · spread`
+/// per mean coordinate `m`, with `z` a Box–Muller standard normal from two
+/// uniforms `u1`, `u2` drawn per feature.
+///
+/// With `keep == false` the same draws are consumed and nothing else is
+/// done (no transcendental math, no allocation), so a class-first
+/// generator can advance past an instance it would throw away with its RNG
+/// in exactly the state building it would have left.
+pub(crate) fn gaussian_features(
+    rng: &mut StdRng,
+    mean: &[f64],
+    spread: f64,
+    keep: bool,
+) -> Vec<f64> {
+    let mut features = if keep { Vec::with_capacity(mean.len()) } else { Vec::new() };
+    for &m in mean {
+        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2: f64 = rng.gen::<f64>();
+        if keep {
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            features.push(m + z * spread);
+        }
+    }
+    features
+}
+
 /// Calibrates `num_classes − 1` thresholds that split the empirical
 /// distribution of `scores` into bands of (approximately) equal mass.
 ///

@@ -18,6 +18,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::gaussian_features;
 use crate::instance::{Instance, StreamSchema};
 use crate::stream::DataStream;
 
@@ -106,27 +107,23 @@ impl RandomRbfGenerator {
     }
 
     /// Generates one instance of the requested class (class-conditional
-    /// sampling). Used by the imbalance wrapper to impose arbitrary class
-    /// distributions without rejection sampling.
+    /// sampling).
     pub fn generate_for_class(&mut self, class: usize) -> Instance {
         assert!(class < self.schema.num_classes, "class {class} out of range");
+        self.draw(class, true).expect("a kept draw builds an instance")
+    }
+
+    /// The one draw sequence behind every instance of `class`: the
+    /// centroid index, then [`gaussian_features`]' two uniforms per
+    /// feature, then the drift step and the counter. With `keep == false`
+    /// the draws are consumed but no instance is built, which is how
+    /// [`DataStream::next_instance_of_class`] skips a rejected candidate.
+    fn draw(&mut self, class: usize, keep: bool) -> Option<Instance> {
         let idx = self.rng.gen_range(0..self.centroids_per_class);
-        let (center, spread) = {
-            let c = &self.centroids[class][idx];
-            (c.center.clone(), c.spread)
-        };
-        let features: Vec<f64> = center
-            .iter()
-            .map(|&m| {
-                // Box–Muller standard normal.
-                let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = self.rng.gen::<f64>();
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                m + z * spread
-            })
-            .collect();
+        let centroid = &self.centroids[class][idx];
+        let features = gaussian_features(&mut self.rng, &centroid.center, centroid.spread, keep);
         self.advance_centroids();
-        let inst = Instance::with_index(features, class, self.counter);
+        let inst = keep.then(|| Instance::with_index(features, class, self.counter));
         self.counter += 1;
         inst
     }
@@ -164,6 +161,11 @@ impl DataStream for RandomRbfGenerator {
         Some(self.generate_for_class(class))
     }
 
+    fn next_instance_of_class(&mut self, class: usize) -> Option<Option<Instance>> {
+        let drawn = self.rng.gen_range(0..self.schema.num_classes);
+        Some(self.draw(drawn, drawn == class))
+    }
+
     fn schema(&self) -> &StreamSchema {
         &self.schema
     }
@@ -185,6 +187,7 @@ impl DataStream for RandomRbfGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::lockstep::assert_class_pulls_agree;
     use crate::stream::StreamExt;
 
     #[test]
@@ -277,6 +280,25 @@ mod tests {
         g.restart();
         let b = g.take_instances(200);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn class_pulls_skip_in_lockstep_with_filtered_pulls() {
+        for features in [1, 7, 40, 80] {
+            for classes in [2, 5, 20] {
+                for centroids in 1..=3 {
+                    for speed in [0.0, 0.002] {
+                        let seed = (features * 1000 + classes * 10 + centroids) as u64;
+                        let mut a =
+                            RandomRbfGenerator::new(features, classes, centroids, speed, seed);
+                        let mut b =
+                            RandomRbfGenerator::new(features, classes, centroids, speed, seed);
+                        let targets = (0..30).map(|i| (i * 7 + 3) % classes);
+                        assert_class_pulls_agree(&mut a, &mut b, targets);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,11 +10,17 @@
 //!
 //! [`ImbalanceProfile`] describes the target class distribution as a
 //! function of the stream position; [`ImbalancedStream`] imposes it on any
-//! base stream by class-targeted rejection sampling (the wrapper first draws
+//! base stream by class-targeted rejection sampling: the wrapper first draws
 //! the desired class from the target distribution, then pulls instances
-//! from the base stream until one of that class appears — base generators
-//! are roughly balanced, so the expected number of pulls is the class
-//! count).
+//! from the base stream until one of that class appears. Base generators
+//! are roughly balanced, so the expected number of pulls per emitted
+//! instance is about the class count.
+//!
+//! The pulls go through [`DataStream::next_instance_of_class`]. Generators
+//! that draw the class before the features (RandomRBF, Gaussian mixtures,
+//! and concept sequences of them) override it, so a rejected pull costs
+//! only its RNG draws: no Box–Muller math and no allocation. The emitted
+//! stream is identical either way.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,20 +72,22 @@ impl ImbalanceProfile {
 
     /// The (unnormalized) class weights at stream position `t`.
     pub fn weights_at(&self, t: u64) -> Vec<f64> {
+        (0..self.num_classes()).map(|c| self.weight_at(t, c)).collect()
+    }
+
+    /// The (unnormalized) weight of class `c` at stream position `t`.
+    fn weight_at(&self, t: u64, c: usize) -> f64 {
         match self {
-            ImbalanceProfile::Static(w) => w.clone(),
+            ImbalanceProfile::Static(w) => w[c],
             ImbalanceProfile::LinearShift { start, end, period } => {
                 let alpha = if *period == 0 { 1.0 } else { (t as f64 / *period as f64).min(1.0) };
-                start.iter().zip(end.iter()).map(|(s, e)| s * (1.0 - alpha) + e * alpha).collect()
+                start[c] * (1.0 - alpha) + end[c] * alpha
             }
             ImbalanceProfile::RoleSwitching { weights, interval } => {
-                let shift =
-                    if *interval == 0 { 0 } else { (t / interval) as usize % weights.len() };
-                let mut rotated = vec![0.0; weights.len()];
-                for (i, &w) in weights.iter().enumerate() {
-                    rotated[(i + shift) % weights.len()] = w;
-                }
-                rotated
+                // The weights rotate right by `shift` positions.
+                let n = weights.len();
+                let shift = if *interval == 0 { 0 } else { (t / interval) as usize % n };
+                weights[(c + n - shift) % n]
             }
         }
     }
@@ -159,17 +167,23 @@ impl<S: DataStream> ImbalancedStream<S> {
         &self.profile
     }
 
+    /// Draws the target class from the profile at the current position,
+    /// with the op order of [`ImbalanceProfile::probabilities_at`] (sum,
+    /// normalise, ascending cumulative walk) but without its two `Vec`s.
     fn sample_target_class(&mut self) -> usize {
-        let probs = self.profile.probabilities_at(self.counter);
+        let (profile, t) = (&self.profile, self.counter);
+        let k = profile.num_classes();
+        let total: f64 = (0..k).map(|c| profile.weight_at(t, c)).sum();
+        assert!(total > 0.0, "class weights must sum to a positive value");
         let u: f64 = self.rng.gen();
         let mut acc = 0.0;
-        for (c, p) in probs.iter().enumerate() {
-            acc += p;
+        for c in 0..k {
+            acc += profile.weight_at(t, c) / total;
             if u <= acc {
                 return c;
             }
         }
-        probs.len() - 1
+        k - 1
     }
 }
 
@@ -177,9 +191,7 @@ impl<S: DataStream> DataStream for ImbalancedStream<S> {
     fn next_instance(&mut self) -> Option<Instance> {
         let target = self.sample_target_class();
         for _ in 0..self.max_rejections {
-            let candidate = self.inner.next_instance()?;
-            if candidate.class == target {
-                let mut inst = candidate;
+            if let Some(mut inst) = self.inner.next_instance_of_class(target)? {
                 inst.index = self.counter;
                 self.counter += 1;
                 return Some(inst);

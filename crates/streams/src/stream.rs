@@ -14,6 +14,25 @@ pub trait DataStream {
     /// (synthetic generators never exhaust; bounded wrappers do).
     fn next_instance(&mut self) -> Option<Instance>;
 
+    /// Advances the stream by exactly one instance, like
+    /// [`next_instance`](Self::next_instance), but only hands it out if it
+    /// belongs to `class`: `None` when the stream is exhausted, `Some(None)`
+    /// when it advanced past an instance of another class. Class-targeted
+    /// rejection sampling ([`ImbalancedStream`](crate::imbalance::ImbalancedStream))
+    /// pulls through this method.
+    ///
+    /// Contract: a call leaves the stream in exactly the state a
+    /// `next_instance` call would (RNG draws, counters, drift state), so
+    /// later instances do not depend on which method was used. Generators
+    /// that draw the class before the features override it to skip the
+    /// feature math of rejected instances; an override must consume
+    /// identical RNG draws. Wrappers that keep their inner stream's classes
+    /// (`ConceptSequenceStream`, `Box<dyn DataStream + Send>`) forward it;
+    /// the others keep this default.
+    fn next_instance_of_class(&mut self, class: usize) -> Option<Option<Instance>> {
+        self.next_instance().map(|inst| (inst.class == class).then_some(inst))
+    }
+
     /// Static schema of the stream.
     fn schema(&self) -> &StreamSchema;
 
@@ -173,6 +192,10 @@ impl<'s> DataStream for Box<dyn DataStream + Send + 's> {
         (**self).next_instance()
     }
 
+    fn next_instance_of_class(&mut self, class: usize) -> Option<Option<Instance>> {
+        (**self).next_instance_of_class(class)
+    }
+
     fn schema(&self) -> &StreamSchema {
         (**self).schema()
     }
@@ -182,9 +205,52 @@ impl<'s> DataStream for Box<dyn DataStream + Send + 's> {
     }
 }
 
+/// Test support for [`DataStream::next_instance_of_class`] overrides.
+#[cfg(test)]
+pub(crate) mod lockstep {
+    use super::DataStream;
+
+    /// Drives two identically seeded streams over `targets`: `filtered`
+    /// pulls with `next_instance` and drops other classes, `skipping` pulls
+    /// with `next_instance_of_class`. Asserts that both keep the same
+    /// instances after the same number of pulls, and that afterwards they
+    /// return identical `next_instance` values (same RNG state, counters
+    /// and drift state).
+    pub(crate) fn assert_class_pulls_agree(
+        filtered: &mut dyn DataStream,
+        skipping: &mut dyn DataStream,
+        targets: impl IntoIterator<Item = usize>,
+    ) {
+        let name = filtered.schema().name.clone();
+        for (i, target) in targets.into_iter().enumerate() {
+            let (mut pulls_a, mut pulls_b) = (0usize, 0usize);
+            let kept_a = loop {
+                pulls_a += 1;
+                let inst = filtered.next_instance().expect("synthetic streams never end");
+                if inst.class == target {
+                    break inst;
+                }
+            };
+            let kept_b = loop {
+                pulls_b += 1;
+                if let Some(inst) = skipping.next_instance_of_class(target).expect("never ends") {
+                    break inst;
+                }
+            };
+            assert_eq!(pulls_a, pulls_b, "{name}: pulls for target #{i}");
+            assert_eq!(kept_a, kept_b, "{name}: kept instance for target #{i}");
+        }
+        for _ in 0..5 {
+            assert_eq!(filtered.next_instance(), skipping.next_instance(), "{name}: state after");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Trivial deterministic stream cycling over classes for testing.
     struct CyclingStream {
@@ -264,6 +330,51 @@ mod tests {
         boxed.restart();
         assert_eq!(boxed.schema().num_classes, 2);
         assert_eq!(boxed.take_instances(3).len(), 3);
+    }
+
+    #[test]
+    fn default_class_pull_advances_one_instance() {
+        let mut s = CyclingStream::new(3);
+        assert_eq!(s.next_instance_of_class(1), Some(None));
+        let kept = s.next_instance_of_class(1).unwrap().unwrap();
+        assert_eq!((kept.class, kept.index), (1, 1));
+        assert_eq!(s.next_instance().unwrap().index, 2);
+        let mut bounded = BoundedStream::new(CyclingStream::new(3), 1);
+        assert_eq!(bounded.next_instance_of_class(2), Some(None));
+        assert_eq!(bounded.next_instance_of_class(2), None);
+    }
+
+    /// Counts the class pulls that reach its override.
+    struct ClassFirstStream {
+        inner: CyclingStream,
+        class_pulls: Arc<AtomicUsize>,
+    }
+
+    impl DataStream for ClassFirstStream {
+        fn next_instance(&mut self) -> Option<Instance> {
+            self.inner.next_instance()
+        }
+        fn next_instance_of_class(&mut self, class: usize) -> Option<Option<Instance>> {
+            self.class_pulls.fetch_add(1, Ordering::Relaxed);
+            self.inner.next_instance().map(|inst| (inst.class == class).then_some(inst))
+        }
+        fn schema(&self) -> &StreamSchema {
+            self.inner.schema()
+        }
+        fn restart(&mut self) {
+            self.inner.restart()
+        }
+    }
+
+    #[test]
+    fn boxed_stream_forwards_class_pulls_to_the_override() {
+        let class_pulls = Arc::new(AtomicUsize::new(0));
+        let inner = CyclingStream::new(2);
+        let stream = ClassFirstStream { inner, class_pulls: Arc::clone(&class_pulls) };
+        let mut boxed: Box<dyn DataStream + Send> = Box::new(stream);
+        assert_eq!(boxed.next_instance_of_class(1), Some(None));
+        assert_eq!(boxed.next_instance_of_class(1).unwrap().unwrap().index, 1);
+        assert_eq!(class_pulls.load(Ordering::Relaxed), 2);
     }
 
     #[test]
