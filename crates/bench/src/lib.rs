@@ -1,21 +1,18 @@
-//! Criterion benchmark crate: all targets live under `benches/`, one per
-//! paper table/figure plus the serving/checkpoint infrastructure benches
-//! (see DESIGN.md §4 and the `BENCH_*.json` baselines at the repo root).
+//! Runner metadata for recorded performance figures.
 //!
-//! Besides the bench targets this crate exports [`runner_metadata`]: every
-//! bench prints a machine-readable description of the runner it executed
-//! on (core count, shard-pinning env), and the recorded `BENCH_*.json`
-//! baselines embed the same object — so a "this number was taken on 1
-//! vCPU" caveat travels *with the data* instead of living in a ROADMAP
-//! footnote.
+//! [`runner_metadata`] describes the machine a figure was taken on (core
+//! count, shard-pinning env, target). The repository benchmark
+//! (`perfbench/`) prints it on its `meta: ` line and the chaos soak
+//! (`examples/chaos_soak.rs`) embeds it in `BENCH_chaos.json`, so a "this
+//! number was taken on 1 vCPU" caveat travels *with the data* instead of
+//! living in a ROADMAP footnote.
 
 #![warn(missing_docs)]
 
 use serde::{Serialize, Value};
 
-/// Machine-readable description of the bench runner, embedded in every
-/// recorded `BENCH_*.json` under the `"runner"` key and printed by each
-/// bench at startup.
+/// Machine-readable description of the benchmark runner, printed by
+/// `perfbench` and embedded in `BENCH_chaos.json` under the `"runner"` key.
 ///
 /// * `logical_cores` — what `std::thread::available_parallelism` reports;
 ///   the figure scaling claims must be read against (shard scaling cannot
@@ -34,12 +31,6 @@ pub fn runner_metadata() -> Value {
         ("os", std::env::consts::OS.serialize_value()),
         ("arch", std::env::consts::ARCH.serialize_value()),
     ])
-}
-
-/// Prints the runner metadata as one JSON line, prefixed so bench logs are
-/// greppable (`runner: {...}`). Call once at the top of a bench main.
-pub fn print_runner_metadata() {
-    println!("runner: {}", serde_json::to_string(&runner_metadata()).unwrap_or_default());
 }
 
 #[cfg(test)]

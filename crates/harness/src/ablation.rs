@@ -1,4 +1,4 @@
-//! Ablation studies of RBM-IM's design choices (DESIGN.md §4, last row).
+//! Ablation studies of RBM-IM's design choices.
 //!
 //! The paper motivates three ingredients: the class-balanced loss, the
 //! trainable (continuously retrained) network, and the per-class

@@ -149,9 +149,9 @@ impl PipelineCheckpoint {
     }
 
     /// Serializes the checkpoint with the chosen codec
-    /// ([`CheckpointCodec::Binary`] is ~8× smaller than the pretty JSON
-    /// spill format and ~3× smaller than minified JSON on warmed RBM-IM
-    /// pipelines — see `BENCH_checkpoint.json`).
+    /// ([`CheckpointCodec::Binary`] is the compact spill default; the
+    /// repository benchmark's `checkpoint.bytes` tracks its size on warmed
+    /// pipelines).
     pub fn to_bytes(&self, codec: CheckpointCodec) -> Vec<u8> {
         codec::encode(codec, self)
     }

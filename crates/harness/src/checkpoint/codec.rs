@@ -33,12 +33,10 @@
 //! `decode_value(&encode_value(v)) == v` for any tree the workspace
 //! produces (pinned by proptests in `tests/codec_roundtrip.rs`).
 //!
-//! On the 5k-instance RBM-IM stream checkpoint of the `checkpoint` bench,
-//! the binary form is ~8× smaller than the pretty-printed JSON
-//! [`SnapshotSink`](../../../rbm_im_serve/sink/struct.SnapshotSink.html)
-//! spilled before this codec existed, and ~3× smaller than minified JSON
-//! (see `BENCH_checkpoint.json` — the remaining bytes are the irreducible
-//! entropy of the window's full-precision scores).
+//! The repository benchmark (`perfbench/LEDGER.md`) reports the binary
+//! size of a warmed `rbm` + `adwin` pipeline pair as `checkpoint.bytes`,
+//! with the encode and decode times beside it. Most of the remaining bytes
+//! are the metric windows' full-precision scores, which do not compress.
 
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;

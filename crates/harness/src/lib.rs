@@ -14,19 +14,18 @@
 //! * [`pipeline::run_grid`] — the rayon-parallel detectors × streams grid
 //!   with deterministic per-cell seeding that experiments 1–3 are built on;
 //! * [`detectors::DetectorKind`] — compat shim enumerating the paper's
-//!   line-up, resolved through the registry;
-//! * [`runner`] — deprecated compat wrapper around the pipeline.
+//!   line-up, resolved through the registry.
 //!
-//! | Paper artifact | Module | Binary / bench |
+//! | Paper artifact | Module | Entry point |
 //! |---|---|---|
 //! | Table I (benchmark inventory) | [`rbm_im_streams::registry`] | `cargo run -p rbm-im-harness --release --bin table1` |
-//! | Table III (pmAUC / pmGM / timing, 6 detectors × 24 streams) | [`experiment1`] | `--bin experiment1`, bench `table3_detectors` |
+//! | Table III (pmAUC / pmGM / timing, 6 detectors × 24 streams) | [`experiment1`] | `--bin experiment1` |
 //! | Fig. 4 & 5 (Bonferroni–Dunn ranks) | [`experiment1`] | `--bin experiment1` |
 //! | Fig. 6 & 7 (Bayesian signed tests) | [`experiment1`] | `--bin experiment1` |
-//! | Fig. 8 (pmAUC vs number of locally drifting classes) | [`experiment2`] | `--bin experiment2`, bench `fig8_local_drift` |
-//! | Fig. 9 (pmAUC vs imbalance ratio) | [`experiment3`] | `--bin experiment3`, bench `fig9_imbalance` |
-//! | Detector overhead (Table III bottom rows) | [`runner`] timing fields | bench `detector_overhead` |
-//! | Design-choice ablations (DESIGN.md) | [`ablation`] | bench `ablation_rbm` |
+//! | Fig. 8 (pmAUC vs number of locally drifting classes) | [`experiment2`] | `--bin experiment2` |
+//! | Fig. 9 (pmAUC vs imbalance ratio) | [`experiment3`] | `--bin experiment3` |
+//! | Detector overhead (Table III bottom rows) | [`pipeline::RunResult`] timing fields | `--bin experiment1` |
+//! | Design-choice ablations | [`ablation`] | [`ablation::run_all_ablations`] |
 //!
 //! The harness scales stream lengths down by default (`BuildConfig::default`)
 //! so the complete Table III regenerates in minutes on a laptop; pass
@@ -43,7 +42,6 @@ pub mod experiment3;
 pub mod pipeline;
 pub mod registry;
 pub mod report;
-pub mod runner;
 pub mod stepper;
 pub mod tuning;
 

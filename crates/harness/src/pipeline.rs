@@ -2,9 +2,7 @@
 //! metrics, composed through [`PipelineBuilder`] and scaled out through the
 //! rayon-parallel [`run_grid`].
 //!
-//! This replaces the old `run_detector_on_stream` free function, which
-//! hard-coded the classifier, allocated fresh vectors in the hot loop and
-//! forced every caller through the closed `DetectorKind` enum. The pipeline
+//! The pipeline
 //!
 //! * is generic over the [`OnlineClassifier`] driving the detector (the
 //!   paper's CSPT by default),
@@ -474,6 +472,7 @@ mod tests {
     use rbm_im_streams::generators::RandomRbfGenerator;
     use rbm_im_streams::scenarios::{scenario1, ScenarioConfig};
     use rbm_im_streams::stream::BoundedStream;
+    use rbm_im_streams::{ReplayStream, StreamExt, StreamSchema};
     use std::cell::RefCell;
 
     fn small_scenario() -> ScenarioConfig {
@@ -503,6 +502,37 @@ mod tests {
         assert!(result.detector_update_seconds >= 0.0);
         assert_eq!(result.detector, "RBM-IM");
         assert_eq!(result.drift_count(), result.detections.len());
+    }
+
+    #[test]
+    fn detector_driven_adaptation_beats_no_detector_after_drift() {
+        // A stream with a severe sudden drift: the classifier driven by a
+        // reasonable detector (ADWIN) should end up at least as good as one
+        // that never adapts (emulated by disabling reset_on_drift).
+        let make_stream = || {
+            let mut gen = RandomRbfGenerator::new(8, 3, 2, 0.0, 77);
+            let mut all = gen.take_instances(6_000);
+            gen.regenerate();
+            all.extend(gen.take_instances(6_000));
+            ReplayStream::new(StreamSchema::new("vec", 8, 3), all)
+        };
+        let run = |config: RunConfig| {
+            PipelineBuilder::new()
+                .stream(make_stream())
+                .detector_spec(DetectorKind::Adwin.spec())
+                .config(config)
+                .run()
+                .unwrap()
+        };
+        let adaptive = run(RunConfig { metric_window: 500, ..Default::default() });
+        let frozen =
+            run(RunConfig { metric_window: 500, reset_on_drift: false, ..Default::default() });
+        assert!(
+            adaptive.pm_auc >= frozen.pm_auc - 3.0,
+            "adaptive {:.2} should not trail frozen {:.2} materially",
+            adaptive.pm_auc,
+            frozen.pm_auc
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the grid bounds of Tab. II.
 
 use crate::detectors::DetectorKind;
-use crate::runner::RunConfig;
+use crate::pipeline::RunConfig;
 use rbm_im::network::RbmNetworkConfig;
 use rbm_im::RbmImConfig;
 use rbm_im_stats::nelder_mead::{NelderMead, NelderMeadConfig};

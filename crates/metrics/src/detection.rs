@@ -10,7 +10,8 @@
 //! * **false alarms** — alarms not attributable to any true drift.
 //!
 //! The paper evaluates detectors indirectly through classifier performance;
-//! these direct metrics power the additional ablation benches (DESIGN.md).
+//! these direct metrics power the ablation studies
+//! (`rbm_im_harness::ablation`).
 
 use serde::{Deserialize, Serialize};
 

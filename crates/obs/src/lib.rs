@@ -72,7 +72,7 @@ pub fn enabled() -> bool {
 
 /// Programmatically switches timing instrumentation on or off,
 /// overriding `RBM_OBS`. Used by examples (always-on demo telemetry) and
-/// the `obs_overhead` bench (same-process on/off comparison).
+/// tests.
 pub fn force_enabled(on: bool) {
     OBS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }

@@ -11,9 +11,9 @@
 //! guarantee (which is what keeps drift positions of the RBM-IM detector
 //! unchanged relative to the seed).
 
+use crate::network::{RbmNetwork, RbmNetworkConfig, Workspace};
+use crate::reference::ReferenceRbmNetwork;
 use proptest::prelude::*;
-use rbm_im::network::{RbmNetwork, RbmNetworkConfig, Workspace};
-use rbm_im::reference::ReferenceRbmNetwork;
 use rbm_im_streams::{Instance, MiniBatch};
 
 const TOL: f64 = 1e-12;

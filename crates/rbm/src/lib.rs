@@ -44,9 +44,6 @@
 //!   classifiers crate);
 //! * [`network`] — the three-layer RBM with batch-level CD-k over a
 //!   zero-allocation [`network::Workspace`];
-//! * [`mod@reference`] — the retained naive per-instance implementation, the
-//!   ground truth of the equivalence suite and the baseline of the
-//!   `rbm_train` microbenchmark;
 //! * [`trend`] / [`detector`] — per-class trend tracking and the RBM-IM
 //!   drift rule on top.
 
@@ -56,12 +53,15 @@ pub mod detector;
 pub mod linalg;
 pub mod network;
 pub mod pool;
-pub mod reference;
 pub mod trend;
+
+#[cfg(test)]
+mod equivalence;
+#[cfg(test)]
+mod reference;
 
 pub use detector::{RbmIm, RbmImConfig};
 pub use linalg::DenseMatrix;
 pub use network::{RbmNetwork, RbmNetworkConfig, Workspace};
 pub use pool::WorkspacePool;
-pub use reference::ReferenceRbmNetwork;
 pub use trend::TrendTracker;

@@ -11,7 +11,7 @@
 //!
 //! **Reproducibility contract.** The batched CD-k trainer promises results
 //! bitwise-identical to the retained per-instance reference implementation
-//! ([`crate::reference`]). Floating-point addition is not associative, so
+//! (the test-only `reference` module). Floating-point addition is not associative, so
 //! every kernel here fixes its accumulation order to the one the reference
 //! uses: [`gemm_acc`] adds rank-1 contributions in ascending inner-dimension
 //! order (`c[r][j] += a[r][0]·b[0][j]`, then `a[r][1]·b[1][j]`, …), which is
@@ -26,9 +26,9 @@
 //! sequentially in that fixed order on the calling thread: the serving
 //! shards already own the cores, and the paper's narrow layers (single-digit
 //! hidden and class widths, batches of 25–100) are too small to amortize any
-//! fork/join. The results are pinned bitwise against
-//! [`crate::reference`] by `tests/equivalence.rs`, and end to end by the
-//! harness's golden registry digest.
+//! fork/join. The results are pinned bitwise against the reference by the
+//! crate's `equivalence` unit tests, and end to end by the harness's golden
+//! registry digest.
 
 /// A dense row-major matrix over `f64`.
 ///

@@ -9,8 +9,8 @@
 //! log-likelihood (Eq. 13) with Contrastive Divergence (CD-k, Eq. 16–21) on
 //! mini-batches.
 //!
-//! Unlike the retained per-instance reference ([`crate::reference`]), this
-//! implementation stores every matrix flat and row-major
+//! Unlike the retained per-instance reference (the test-only `reference`
+//! module), this implementation stores every matrix flat and row-major
 //! ([`crate::linalg::DenseMatrix`]) and runs CD-k **batch-level**: the
 //! mini-batch is stacked into feature-major `V×N` / `Z×N` matrices (the
 //! batch is the contiguous SIMD dimension) and the positive phase, the

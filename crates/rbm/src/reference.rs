@@ -3,7 +3,7 @@
 //! This is the seed's per-instance, `Vec<Vec<f64>>`-backed network, kept
 //! verbatim (modulo visibility) as the ground truth that the flat-matrix
 //! [`crate::network::RbmNetwork`] is tested against: the equivalence suite
-//! (`crates/rbm/tests/equivalence.rs`) proves that hidden/visible/class
+//! (`crate::equivalence`) proves that hidden/visible/class
 //! probabilities, free-energy prediction, reconstruction errors, and
 //! `train_batch` weight updates of the two implementations agree to within
 //! 1e-12. Training, errors, and probabilities are in fact designed to be
@@ -15,8 +15,7 @@
 //!
 //! The reference is deliberately slow — one heap allocation per matrix row,
 //! fresh `Vec`s in every probability call, scalar per-instance CD-k — and
-//! serves double duty as the "seed per-instance CD-k" baseline of the
-//! `rbm_train` microbenchmark.
+//! is compiled only into the crate's unit tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,7 +46,6 @@ pub struct ReferenceRbmNetwork {
     feature_min: Vec<f64>,
     feature_max: Vec<f64>,
     rng: StdRng,
-    batches_trained: u64,
 }
 
 impl ReferenceRbmNetwork {
@@ -84,18 +82,12 @@ impl ReferenceRbmNetwork {
             feature_min: vec![f64::INFINITY; num_features],
             feature_max: vec![f64::NEG_INFINITY; num_features],
             rng,
-            batches_trained: 0,
         }
     }
 
     /// Number of hidden units.
     pub fn num_hidden(&self) -> usize {
         self.num_hidden
-    }
-
-    /// Number of mini-batches trained on so far.
-    pub fn batches_trained(&self) -> u64 {
-        self.batches_trained
     }
 
     /// Per-class instance counts accumulated during training.
@@ -361,12 +353,6 @@ impl ReferenceRbmNetwork {
         for (c, dc_k) in self.c.iter_mut().zip(dc.iter()) {
             *c += lr * dc_k;
         }
-        self.batches_trained += 1;
         total_error / batch.len() as f64
-    }
-
-    /// Forgets everything.
-    pub fn reset(&mut self) {
-        *self = ReferenceRbmNetwork::new(self.num_visible, self.num_classes, self.config);
     }
 }

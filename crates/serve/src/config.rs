@@ -81,18 +81,21 @@ pub struct TierPolicy {
     /// [`TierPolicy::budget_bytes`].
     pub max_hot_streams: Option<usize>,
     /// Evictions + cold-memory→disk demotions performed per supervisor
-    /// tick: each one costs a checkpoint encode + spill (~1 ms at the
-    /// benchmarked 47 KB state), so huge fleets drain toward cold over a
-    /// few ticks instead of stalling one tick for seconds.
+    /// tick: each one costs a checkpoint encode + spill (about a
+    /// millisecond per stream; the repository benchmark reports
+    /// `checkpoint.encode_us` and `sink.spill_us`), so huge fleets drain
+    /// toward cold over a few ticks instead of stalling one tick for
+    /// seconds.
     pub max_demotions_per_tick: usize,
 }
 
 impl TierPolicy {
     /// Engineering estimate of one hot stream's resident footprint
     /// (pipeline state + metric windows + amortized workspace scratch),
-    /// anchored on the ~47 KB binary-checkpoint size measured in
-    /// `BENCH_checkpoint.json` with headroom for the live (un-packed)
-    /// representation. Used by [`TierPolicy::budget_bytes`].
+    /// anchored on the repository benchmark's `checkpoint.bytes` (~106 KB
+    /// of binary checkpoint for a warmed `rbm` + `adwin` pair of streams)
+    /// with headroom for the live (un-packed) representation. Used by
+    /// [`TierPolicy::budget_bytes`].
     pub const APPROX_HOT_STREAM_BYTES: u64 = 96 * 1024;
 
     /// Idle-age-only policy: evict after `idle_after` without a hot cap.
