@@ -1,7 +1,7 @@
 //! Self-contained pipeline checkpoints: capture a running
-//! [`PipelineStepper`] at any instance
-//! boundary, serialize it to JSON, and resume it — later, elsewhere, or on
-//! a different shard — **bitwise-identically** to a run that was never
+//! [`PipelineStepper`] at any instance boundary, serialize it with the
+//! RBMC codec ([`codec`]), and resume it — later, elsewhere, or on a
+//! different shard — **bitwise-identically** to a run that was never
 //! interrupted.
 //!
 //! A [`PipelineCheckpoint`] bundles everything needed to rebuild the
@@ -39,10 +39,8 @@ pub enum CheckpointError {
     State(serde::Error),
     /// Rebuilding the detector from its spec failed.
     Registry(RegistryError),
-    /// JSON encoding/decoding failed.
-    Json(serde_json::Error),
-    /// Binary (or sniffed) encoding/decoding failed — truncation, version
-    /// mismatch, corruption (see [`codec::CodecError`]).
+    /// RBMC decoding failed — truncation, version mismatch, corruption, a
+    /// missing magic (see [`codec::CodecError`]).
     Codec(CodecError),
 }
 
@@ -54,7 +52,6 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::State(e) => write!(f, "checkpoint state error: {e}"),
             CheckpointError::Registry(e) => write!(f, "checkpoint detector rebuild failed: {e}"),
-            CheckpointError::Json(e) => write!(f, "checkpoint JSON error: {e}"),
             CheckpointError::Codec(e) => write!(f, "checkpoint codec error: {e}"),
         }
     }
@@ -74,12 +71,6 @@ impl From<RegistryError> for CheckpointError {
     }
 }
 
-impl From<serde_json::Error> for CheckpointError {
-    fn from(e: serde_json::Error) -> Self {
-        CheckpointError::Json(e)
-    }
-}
-
 impl From<CodecError> for CheckpointError {
     fn from(e: CodecError) -> Self {
         CheckpointError::Codec(e)
@@ -88,7 +79,8 @@ impl From<CodecError> for CheckpointError {
 
 /// A self-contained, serializable checkpoint of one prequential pipeline.
 ///
-/// Serializes to plain JSON; [`PipelineCheckpoint::resume`] rebuilds the
+/// Serializes with [`PipelineCheckpoint::to_bytes`];
+/// [`PipelineCheckpoint::resume`] rebuilds the
 /// stepper (classifier from the schema, detector from the spec via the
 /// registry) and restores the captured state, after which stepping
 /// continues bitwise-identically to the uninterrupted pipeline.
@@ -138,27 +130,17 @@ impl PipelineCheckpoint {
         Ok(stepper)
     }
 
-    /// Serializes the checkpoint to a JSON string.
-    pub fn to_json(&self) -> Result<String, CheckpointError> {
-        Ok(serde_json::to_string(self)?)
-    }
-
-    /// Parses a checkpoint from a JSON string.
-    pub fn from_json(json: &str) -> Result<Self, CheckpointError> {
-        Ok(serde_json::from_str(json)?)
-    }
-
     /// Serializes the checkpoint with the chosen codec
-    /// ([`CheckpointCodec::Binary`] is the compact spill default; the
-    /// repository benchmark's `checkpoint.bytes` tracks its size on warmed
-    /// pipelines).
+    /// ([`CheckpointCodec::Binary`] is RBMC, the format
+    /// [`PipelineCheckpoint::from_bytes`] reads; the repository benchmark's
+    /// `checkpoint.bytes` tracks its size on warmed pipelines).
+    /// [`CheckpointCodec::Json`] is a write-only debugging dump.
     pub fn to_bytes(&self, codec: CheckpointCodec) -> Vec<u8> {
         codec::encode(codec, self)
     }
 
     /// Parses a checkpoint written by [`PipelineCheckpoint::to_bytes`]
-    /// with **either** codec — the binary magic is sniffed, anything else
-    /// parses as JSON.
+    /// with [`CheckpointCodec::Binary`]; a JSON dump is rejected.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         Ok(codec::decode(bytes)?)
     }
@@ -178,7 +160,7 @@ mod tests {
     use rbm_im_streams::{DataStream, ReplayStream, StreamExt};
 
     /// Checkpoint a pipeline mid-stream (at an awkward cut), serialize to
-    /// JSON, resume, run the tail: detections and metrics must equal the
+    /// RBMC, resume, run the tail: detections and metrics must equal the
     /// uninterrupted run bitwise.
     #[test]
     fn checkpointed_pipeline_resumes_bitwise_identically() {
@@ -208,13 +190,12 @@ mod tests {
         for inst in &instances[..cut] {
             head.step(inst.clone(), &mut sink);
         }
-        let json = PipelineCheckpoint::capture(&head, schema.clone(), spec.clone())
+        let bytes = PipelineCheckpoint::capture(&head, schema.clone(), spec.clone())
             .unwrap()
-            .to_json()
-            .unwrap();
+            .to_bytes(CheckpointCodec::Binary);
         drop(head);
 
-        let checkpoint = PipelineCheckpoint::from_json(&json).unwrap();
+        let checkpoint = PipelineCheckpoint::from_bytes(&bytes).unwrap();
         assert_eq!(checkpoint.schema, schema);
         assert_eq!(checkpoint.spec, spec);
         let mut resumed = checkpoint.resume(registry).unwrap();

@@ -1,5 +1,6 @@
-//! Compact binary checkpoint codec (with the JSON codec retained as the
-//! interoperable fallback).
+//! RBMC, the compact binary checkpoint codec: the one checkpoint format the
+//! workspace reads back (snapshot-sink spills, cold-tier bytes and wire
+//! bodies all decode through [`decode`] / [`decode_value`]).
 //!
 //! Checkpoints serialize through the vendored serde [`Value`] data model,
 //! and the JSON rendering of that tree is dominated by the prequential
@@ -55,41 +56,19 @@ const MIN_PACK: usize = 5;
 /// Smallest array-of-uniform-arrays length worth columnar re-blocking.
 const MIN_MATRIX_ROWS: usize = 4;
 
-/// Checkpoint serialization format.
+/// Checkpoint serialization format of [`encode`].
 ///
-/// [`CheckpointCodec::Json`] is the original self-describing text format —
-/// diffable, greppable, readable by anything. [`CheckpointCodec::Binary`]
-/// is the compact framing documented at the [module level](self), sized
-/// for frequent background spills. [`decode`] sniffs the format from the
-/// first bytes, so readers never need to be told which codec wrote a file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// [`CheckpointCodec::Binary`] is RBMC, the compact framing documented at
+/// the [module level](self) and the only format [`decode`] reads.
+/// [`CheckpointCodec::Json`] is a write-only debugging dump — diffable and
+/// greppable, but nothing in the workspace reads it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointCodec {
-    /// Human-readable JSON (the pre-codec spill format).
+    /// A human-readable JSON dump of the [`Value`] tree, for debugging
+    /// only: [`decode`] does not read it.
     Json,
-    /// Compact versioned binary framing (the default for background
-    /// spills).
-    #[default]
+    /// RBMC, the compact versioned binary framing.
     Binary,
-}
-
-impl CheckpointCodec {
-    /// The file extension conventionally used for this codec's spills
-    /// (`"json"` / `"bin"`).
-    pub fn extension(self) -> &'static str {
-        match self {
-            CheckpointCodec::Json => "json",
-            CheckpointCodec::Binary => "bin",
-        }
-    }
-}
-
-impl fmt::Display for CheckpointCodec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointCodec::Json => write!(f, "json"),
-            CheckpointCodec::Binary => write!(f, "binary"),
-        }
-    }
 }
 
 /// Errors of binary checkpoint decoding.
@@ -110,10 +89,8 @@ pub enum CodecError {
         supported: u16,
     },
     /// The payload is structurally invalid (unknown tag, bad key index,
-    /// malformed UTF-8, trailing garbage, …).
+    /// malformed UTF-8, trailing garbage, a missing `RBMC` magic, …).
     Malformed(String),
-    /// The payload was sniffed as JSON but failed to parse.
-    Json(String),
 }
 
 impl fmt::Display for CodecError {
@@ -128,7 +105,6 @@ impl fmt::Display for CodecError {
                  version {supported})"
             ),
             CodecError::Malformed(msg) => write!(f, "malformed binary checkpoint: {msg}"),
-            CodecError::Json(msg) => write!(f, "malformed JSON checkpoint: {msg}"),
         }
     }
 }
@@ -156,27 +132,12 @@ pub fn encode_into<T: Serialize>(codec: CheckpointCodec, value: &T, out: &mut Ve
     }
 }
 
-/// Deserializes bytes written by [`encode`] with *either* codec: the
-/// binary magic is sniffed, anything else is parsed as JSON.
+/// Deserializes bytes written by [`encode`] with [`CheckpointCodec::Binary`].
+/// Anything without the `RBMC` magic, a JSON dump included, is
+/// [`CodecError::Malformed`].
 pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
-    let value = decode_to_value(bytes)?;
+    let value = decode_value(bytes)?;
     T::deserialize_value(&value).map_err(|e| CodecError::Malformed(e.to_string()))
-}
-
-/// [`decode`] to the raw [`Value`] tree.
-pub fn decode_to_value(bytes: &[u8]) -> Result<Value, CodecError> {
-    if bytes.starts_with(&BINARY_MAGIC) {
-        decode_value(bytes)
-    } else {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| CodecError::Json("not valid UTF-8".to_string()))?;
-        serde_json::parse_value(text).map_err(|e| CodecError::Json(e.to_string()))
-    }
-}
-
-/// Whether `bytes` carry the binary checkpoint magic.
-pub fn is_binary(bytes: &[u8]) -> bool {
-    bytes.starts_with(&BINARY_MAGIC)
 }
 
 // ---- framing primitives (shared with the wire protocol) --------------------
@@ -847,14 +808,13 @@ mod tests {
     }
 
     #[test]
-    fn sniffing_decode_reads_both_codecs() {
+    fn decode_reads_rbmc_and_rejects_json() {
         let value = Value::object(vec![("n", Value::Number(7.0))]);
         let binary = encode(CheckpointCodec::Binary, &value);
         let json = encode(CheckpointCodec::Json, &value);
-        assert!(is_binary(&binary));
-        assert!(!is_binary(&json));
-        assert_eq!(decode_to_value(&binary).unwrap(), value);
-        assert_eq!(decode_to_value(&json).unwrap(), value);
-        assert!(matches!(decode_to_value(b"{broken"), Err(CodecError::Json(_))));
+        assert!(binary.starts_with(&BINARY_MAGIC));
+        assert_eq!(decode::<Value>(&binary).unwrap(), value);
+        assert!(matches!(decode::<Value>(&json), Err(CodecError::Malformed(_))));
+        assert!(matches!(decode_value(b"{broken"), Err(CodecError::Malformed(_))));
     }
 }

@@ -2,12 +2,13 @@
 //! [`Value`] trees — including the shapes real checkpoints produce (packed
 //! number arrays, uniform matrices, interned repeated keys, non-finite
 //! float *strings*, ±0.0, 2^53 boundary integers) — `decode(encode(v))`
-//! must reproduce the tree **exactly**, and a binary-serialized pipeline
-//! checkpoint must resume bitwise-identically to the JSON path.
+//! must reproduce the tree **exactly**, a binary-serialized pipeline
+//! checkpoint must resume bitwise-identically to an uninterrupted run, and
+//! a JSON dump must not load.
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use rbm_im_harness::checkpoint::codec::{self, CheckpointCodec};
+use rbm_im_harness::checkpoint::codec::{self, CheckpointCodec, BINARY_MAGIC};
 use rbm_im_harness::checkpoint::PipelineCheckpoint;
 use rbm_im_harness::pipeline::{PipelineEvent, RunConfig};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
@@ -103,9 +104,9 @@ proptest! {
         let bytes = codec::encode_value(&value);
         let back = codec::decode_value(&bytes).expect("well-formed encoding must decode");
         prop_assert_eq!(&back, &value);
-        // The sniffing entry point agrees.
-        let sniffed = codec::decode_to_value(&bytes).expect("sniffed decode");
-        prop_assert_eq!(&sniffed, &value);
+        // The typed entry point agrees.
+        let typed: Value = codec::decode(&bytes).expect("typed decode");
+        prop_assert_eq!(&typed, &value);
     }
 
     /// Truncating a valid encoding at any prefix fails cleanly — never
@@ -135,8 +136,8 @@ proptest! {
 }
 
 /// A real warmed pipeline serialized with the binary codec resumes
-/// bitwise-identically — same guarantee the JSON path has, same test
-/// shape as `checkpoint.rs`'s JSON roundtrip.
+/// bitwise-identically — same test shape as `checkpoint.rs`'s roundtrip —
+/// and its JSON debugging dump is rejected by `from_bytes`.
 #[test]
 fn binary_checkpoint_resumes_bitwise_identically() {
     let mut gen = RandomRbfGenerator::new(8, 4, 2, 0.0, 33);
@@ -155,8 +156,7 @@ fn binary_checkpoint_resumes_bitwise_identically() {
     }
     let (expected, _) = uninterrupted.finish("codec", &mut sink);
 
-    // Cut misaligned with both batch sizes; serialize with BOTH codecs and
-    // check they restore the same state.
+    // Cut misaligned with both batch sizes.
     let cut = 1_951;
     let mut head = PipelineStepper::from_spec(registry, &spec, &schema, run).unwrap();
     for inst in &instances[..cut] {
@@ -165,19 +165,14 @@ fn binary_checkpoint_resumes_bitwise_identically() {
     let checkpoint = PipelineCheckpoint::capture(&head, schema.clone(), spec.clone()).unwrap();
     let binary = checkpoint.to_bytes(CheckpointCodec::Binary);
     let json = checkpoint.to_bytes(CheckpointCodec::Json);
-    assert!(codec::is_binary(&binary));
-    assert!(!codec::is_binary(&json));
+    assert!(binary.starts_with(&BINARY_MAGIC));
     assert!(
         binary.len() * 2 < json.len(),
         "binary ({}) must be well under half of minified JSON ({})",
         binary.len(),
         json.len()
     );
-    assert_eq!(
-        PipelineCheckpoint::from_bytes(&binary).unwrap(),
-        PipelineCheckpoint::from_bytes(&json).unwrap(),
-        "both codecs carry the identical checkpoint"
-    );
+    assert!(PipelineCheckpoint::from_bytes(&json).is_err(), "a JSON dump must not load");
 
     let restored = PipelineCheckpoint::from_bytes(&binary).unwrap();
     assert_eq!(restored.processed().unwrap(), cut as u64);

@@ -480,7 +480,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
         .map_err(|_| WireError::Malformed("payload too short for a frame type".to_string()))?;
     let frame = match frame_type {
         FT_ATTACH => {
-            let value = codec::decode_to_value(c.rest())?;
+            let value = codec::decode_value(c.rest())?;
             Frame::Attach {
                 stream: value.field::<String>("stream")?,
                 schema: value.field::<StreamSchema>("schema")?,
@@ -547,15 +547,15 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
         FT_CHECKPOINT_DATA => Frame::CheckpointData(Box::new(decode_codec(c.rest())?)),
         FT_REPORT => Frame::Report(Box::new(decode_codec(c.rest())?)),
         FT_EVENT => {
-            let value = codec::decode_to_value(c.rest())?;
+            let value = codec::decode_value(c.rest())?;
             Frame::Event(Box::new(event_from_value(&value)?))
         }
         FT_METRICS_DATA => {
-            let value = codec::decode_to_value(c.rest())?;
+            let value = codec::decode_value(c.rest())?;
             Frame::MetricsData(Box::new(MetricsSnapshot::deserialize_value(&value)?))
         }
         FT_HEALTH_DATA => {
-            let value = codec::decode_to_value(c.rest())?;
+            let value = codec::decode_value(c.rest())?;
             Frame::HealthData(Box::new(HealthSnapshot::deserialize_value(&value)?))
         }
         other => return Err(WireError::UnknownFrameType(other)),
@@ -879,6 +879,25 @@ mod tests {
             }
             other => panic!("wrong frame: {other:?}"),
         }
+    }
+
+    #[test]
+    fn json_bodies_are_malformed() {
+        // Bodies decode as RBMC only: the JSON dump of the very value an
+        // attach frame carries is rejected, never parsed.
+        let value = Value::object(vec![
+            ("stream", Value::String("feed-00".into())),
+            ("schema", StreamSchema::new("feed-00", 10, 4).serialize_value()),
+            ("spec", Value::String("adwin(delta=0.01)".into())),
+            ("run", None::<RunConfig>.serialize_value()),
+        ]);
+        let mut header = WIRE_MAGIC.to_vec();
+        header.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        header.push(FT_ATTACH);
+        let rbmc = [header.clone(), codec::encode(CheckpointCodec::Binary, &value)].concat();
+        assert!(matches!(decode_payload(&rbmc), Ok(Frame::Attach { .. })));
+        let json = [header, codec::encode(CheckpointCodec::Json, &value)].concat();
+        assert!(matches!(decode_payload(&json), Err(WireError::Malformed(_))));
     }
 
     #[test]

@@ -437,10 +437,10 @@ impl crate::sink::SpillIo for ChaosSpillIo {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         let mut bytes = std::fs::read(path)?;
         if self.plane.corrupt_read(path) && !bytes.is_empty() {
-            // Flip a byte inside the header region (magic / version /
-            // leading JSON structure), modelling a torn disk block that
-            // surfaces as a *clean load error*. The checkpoint codecs
-            // carry no payload checksum, so a mid-payload flip could
+            // Flip a byte inside the RBMC header region (magic / version /
+            // key table), modelling a torn disk block that
+            // surfaces as a *clean load error*. The checkpoint codec
+            // carries no payload checksum, so a mid-payload flip could
             // decode silently into wrong state — undetectable corruption
             // is unrecoverable by construction and out of scope for the
             // zero-loss contract.

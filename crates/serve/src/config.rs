@@ -25,16 +25,14 @@ pub struct ServeConfig {
     /// path always runs the batched CD-k kernels, and emits a metric
     /// snapshot event every 1000 instances per stream.
     pub run: RunConfig,
-    /// When `true` (the default), a stream attaching with a detector spec
-    /// whose factory accepts a `seed` parameter — and that does not pin one
-    /// explicitly — gets `seed = derive_stream_seed(base_seed, stream_id)`
-    /// injected. Streams are thereby decorrelated from each other yet fully
-    /// reproducible: results depend only on `(base_seed, stream_id, spec,
-    /// ingest order)`, never on shard count, shard assignment or ingest
+    /// Base seed of deterministic per-stream seeding: a stream attaching
+    /// with a detector spec whose factory accepts a `seed` parameter — and
+    /// that does not pin one explicitly — gets
+    /// `seed = derive_stream_seed(base_seed, stream_id)` injected. Streams
+    /// are thereby decorrelated from each other yet fully reproducible:
+    /// results depend only on `(base_seed, stream_id, spec, ingest
+    /// order)`, never on shard count, shard assignment or ingest
     /// interleaving across streams.
-    pub deterministic_seeding: bool,
-    /// Base seed of deterministic per-stream seeding (see
-    /// [`ServeConfig::deterministic_seeding`]).
     pub base_seed: u64,
 }
 
@@ -48,7 +46,6 @@ impl Default for ServeConfig {
                 snapshot_every: Some(1_000),
                 ..RunConfig::default()
             },
-            deterministic_seeding: true,
             base_seed: 42,
         }
     }

@@ -796,15 +796,11 @@ impl ServerHandle {
     }
 
     /// The spec a stream would actually be built with: the attach spec
-    /// after deterministic per-stream seed injection (identity when
-    /// [`ServeConfig::deterministic_seeding`] is off). Sequential baseline
-    /// runs use this to reproduce served results exactly.
+    /// after deterministic per-stream seed injection (see
+    /// [`ServeConfig::base_seed`]). Sequential baseline runs use this to
+    /// reproduce served results exactly.
     pub fn effective_spec(&self, stream_id: &str, spec: &DetectorSpec) -> DetectorSpec {
-        if self.inner.config.deterministic_seeding {
-            deterministic_spec(&self.inner.registry, self.inner.config.base_seed, stream_id, spec)
-        } else {
-            spec.clone()
-        }
+        deterministic_spec(&self.inner.registry, self.inner.config.base_seed, stream_id, spec)
     }
 
     /// Attaches a stream under the server's default per-stream

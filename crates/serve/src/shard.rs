@@ -1207,6 +1207,10 @@ fn checkpoint_stream(id: &Arc<str>, state: &StreamState) -> Result<StreamCheckpo
 
 /// Non-destructive checkpoint of a cold stream: its handle is decoded
 /// (memory bytes or the spill file) — the stream is **not** rehydrated.
+/// The decoded checkpoint must name the stream and sit at the position
+/// the stream was evicted at: after a clean eviction the spill file is the
+/// stream's only state, so an older spill written over it must fail here
+/// rather than silently rewind the stream.
 fn cold_checkpoint(id: &Arc<str>, cold: &ColdStream) -> Result<StreamCheckpoint, ServeError> {
     let decoded: StreamCheckpoint = match &cold.handle {
         ColdHandle::Memory(bytes) => {
@@ -1223,6 +1227,14 @@ fn cold_checkpoint(id: &Arc<str>, cold: &ColdStream) -> Result<StreamCheckpoint,
         return Err(ServeError::Checkpoint(format!(
             "cold checkpoint names stream `{}`, expected `{id}`",
             decoded.stream
+        )));
+    }
+    let position =
+        decoded.checkpoint.processed().map_err(|e| ServeError::Checkpoint(e.to_string()))?;
+    if position != cold.position {
+        return Err(ServeError::Checkpoint(format!(
+            "cold checkpoint of `{id}` is at position {position}, expected {}",
+            cold.position
         )));
     }
     Ok(decoded)

@@ -1,20 +1,16 @@
-//! Disk persistence for served streams: spill per-stream checkpoints (in
-//! either checkpoint codec) and prequential metric snapshots, and load
-//! them back for restart-from-disk.
+//! Disk persistence for served streams: spill per-stream RBMC checkpoints
+//! and prequential metric snapshots, and load them back for
+//! restart-from-disk.
 //!
 //! A [`SnapshotSink`] owns a directory. Two artifact kinds live in it:
 //!
-//! * `<stream>.checkpoint.bin` / `<stream>.checkpoint.json` — one
-//!   self-contained [`StreamCheckpoint`] per stream (schema, effective
-//!   spec, run config and complete pipeline state), overwritten on every
-//!   spill. The format follows the sink's
-//!   [`CheckpointCodec`]: the compact binary codec by default (sized for
-//!   frequent background spills — see
-//!   [`rbm_im_harness::checkpoint::codec`]), or JSON for debuggability.
-//!   Loading sniffs the format from the file contents, so a restarted
-//!   process reads spills from either codec regardless of its own
-//!   configuration. A restarted process loads these with
-//!   [`SnapshotSink::load_checkpoints`] and hands each to
+//! * `<stream>.checkpoint.bin` — one self-contained [`StreamCheckpoint`]
+//!   per stream (schema, effective spec, run config and complete pipeline
+//!   state), overwritten on every spill. It is written in the compact
+//!   RBMC binary codec ([`rbm_im_harness::checkpoint::codec`]), the only
+//!   checkpoint format the sink reads back; legacy JSON spills of older
+//!   builds are not loaded. A restarted process loads
+//!   these with [`SnapshotSink::load_checkpoints`] and hands each to
 //!   [`ServerHandle::restore_stream`](crate::server::ServerHandle::restore_stream)
 //!   so the stream resumes bitwise-identically;
 //! * `<stream>.metrics.jsonl` — appended [`PrequentialSnapshot`] lines
@@ -29,10 +25,11 @@
 //!   spill schedule, and [`SnapshotSink::load_metrics`] reads the
 //!   generations back oldest-first so history order survives rotation.
 //!
-//! Spills are atomic (temp file + rename), so a crash mid-spill leaves the
-//! previous checkpoint intact, and a truncated or corrupt file is reported
-//! as a clean [`io::Error`] at load — never silently skipped, never
-//! garbage state.
+//! Spills are atomic (a uniquely named temp file + rename), so a crash
+//! mid-spill leaves the previous checkpoint intact, concurrent spills of
+//! one stream never touch each other's temp file, and a truncated or
+//! corrupt file is reported as a clean [`io::Error`] at load — never
+//! silently skipped, never garbage state.
 //!
 //! Stream ids are sanitized into file names (alphanumerics, `-`, `_`, `.`
 //! kept; everything else mapped to `_` plus a hash suffix on collision
@@ -48,8 +45,14 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Process-wide spill counter: with the process id it gives every
+/// checkpoint spill a temp file of its own, so two sinks spilling the same
+/// stream into one directory never rename each other's temp file away.
+static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Rotation policy for per-stream metric history files. The live
 /// `<stream>.metrics.jsonl` rotates to `<stream>.metrics.1.jsonl` (older
@@ -131,7 +134,6 @@ impl SpillIo for OsSpillIo {
 #[derive(Debug)]
 pub struct SnapshotSink {
     dir: PathBuf,
-    codec: CheckpointCodec,
     retention: Option<MetricRetention>,
     spill_obs: Option<SpillObs>,
     /// The filesystem seam checkpoint writes/renames/reads go through
@@ -145,37 +147,32 @@ pub struct SnapshotSink {
 }
 
 impl SnapshotSink {
-    /// Opens (creating if needed) a sink over `dir` with the default
-    /// checkpoint codec ([`CheckpointCodec::Binary`]).
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::with_codec(dir, CheckpointCodec::default())
-    }
-
-    /// Opens (creating if needed) a sink over `dir` spilling checkpoints
-    /// with `codec`. Loading is codec-agnostic either way.
+    /// Opens (creating if needed) a sink over `dir`.
     ///
-    /// Opening sweeps orphan `*.checkpoint.*.tmp` files out of the
+    /// Opening sweeps orphan `*.checkpoint.bin.*.tmp` files out of the
     /// directory: a process that died between a spill's temp-file write
     /// and its rename leaves a partially written `.tmp` behind, and while
     /// the loaders never read those, letting them accumulate turns every
     /// crash into permanent disk debris. The sweep is safe by
     /// construction — a `.tmp` is only ever the *incomplete* side of an
-    /// atomic publish, never the authoritative checkpoint.
-    pub fn with_codec(dir: impl Into<PathBuf>, codec: CheckpointCodec) -> io::Result<Self> {
+    /// atomic publish, never the authoritative checkpoint. It cannot tell
+    /// a dead process's temp file from a live spill's, so open every sink
+    /// of a directory before any of them spills.
+    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
-            let orphan = path.file_name().and_then(|n| n.to_str()).is_some_and(|name| {
-                name.ends_with(".checkpoint.bin.tmp") || name.ends_with(".checkpoint.json.tmp")
-            });
+            let orphan = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|name| name.contains(".checkpoint.bin.") && name.ends_with(".tmp"));
             if orphan {
                 let _ = fs::remove_file(&path);
             }
         }
         Ok(SnapshotSink {
             dir,
-            codec,
             retention: None,
             spill_obs: None,
             io: Arc::new(OsSpillIo),
@@ -225,56 +222,29 @@ impl SnapshotSink {
         &self.dir
     }
 
-    /// The codec new spills are written with.
-    pub fn codec(&self) -> CheckpointCodec {
-        self.codec
-    }
-
     /// Writes (atomically, via a temp file + rename) one stream's
-    /// checkpoint, overwriting any previous checkpoint of the same stream
-    /// — in **either** codec, so switching codecs cannot leave a stale
-    /// duplicate behind. Returns the file path.
+    /// checkpoint, overwriting any previous checkpoint of the same stream.
+    /// Returns the file path.
     pub fn spill_checkpoint(&self, checkpoint: &StreamCheckpoint) -> io::Result<PathBuf> {
-        let path = self.checkpoint_path(&checkpoint.stream, self.codec);
+        let path = self.checkpoint_path(&checkpoint.stream);
         // Encode into the sink's persistent scratch buffer: cleared (not
         // shrunk) per spill, so once it has grown to the fleet's largest
-        // checkpoint no further output allocations happen. JSON spills
-        // still build an intermediate string (the pretty-printer's
-        // contract); the default binary codec encodes straight into the
-        // scratch.
+        // checkpoint no further output allocations happen.
         let mut scratch = self.encode_scratch.lock().expect("encode scratch poisoned");
         scratch.clear();
         let encode_started = Instant::now();
-        match self.codec {
-            CheckpointCodec::Json => {
-                let text = serde_json::to_string_pretty(checkpoint)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                scratch.extend_from_slice(text.as_bytes());
-            }
-            CheckpointCodec::Binary => {
-                codec::encode_into(CheckpointCodec::Binary, checkpoint, &mut scratch);
-            }
-        }
+        codec::encode_into(CheckpointCodec::Binary, checkpoint, &mut scratch);
         if let Some(obs) = &self.spill_obs {
             obs.encode.record(encode_started.elapsed().as_nanos() as u64);
         }
         let write_started = Instant::now();
-        let tmp = path.with_extension(format!("{}.tmp", self.codec.extension()));
+        let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("bin.{}-{seq}.tmp", std::process::id()));
         self.io.write(&tmp, scratch.as_slice())?;
         self.io.rename(&tmp, &path)?;
         if let Some(obs) = &self.spill_obs {
             obs.write.record(write_started.elapsed().as_nanos() as u64);
         }
-        // Drop the other codec's spill of the same stream, if any — the
-        // freshly written file is now the stream's sole checkpoint. Best
-        // effort: the spill itself is already durable at this point, and a
-        // crash window between the rename and this removal is tolerated by
-        // the loaders (they deduplicate by stream id).
-        let other = match self.codec {
-            CheckpointCodec::Json => CheckpointCodec::Binary,
-            CheckpointCodec::Binary => CheckpointCodec::Json,
-        };
-        let _ = fs::remove_file(self.checkpoint_path(&checkpoint.stream, other));
         Ok(path)
     }
 
@@ -284,69 +254,43 @@ impl SnapshotSink {
         checkpoints.iter().map(|c| self.spill_checkpoint(c)).collect()
     }
 
-    /// Loads every `*.checkpoint.bin` / `*.checkpoint.json` in the sink
-    /// directory, sorted by stream id — **one checkpoint per stream**: if
-    /// a crash between a spill's rename and its stale-file cleanup left
-    /// both codecs' files behind, the one capturing the *later* stream
-    /// position wins (ties go to the binary file), so a restart never
-    /// restores the same stream twice or from the staler of the two
-    /// states — whichever direction the codec switch went. The codec of
-    /// each file is sniffed from its contents. Files that fail to parse
-    /// (truncated spill, corrupt bytes, a future codec version) are
-    /// reported as errors naming the file, not skipped silently.
+    /// Loads every `*.checkpoint.bin` in the sink directory, sorted by
+    /// stream id. Files that fail to decode (truncated spill, corrupt
+    /// bytes, a future codec version) are reported as errors naming the
+    /// file, not skipped silently.
     pub fn load_checkpoints(&self) -> io::Result<Vec<StreamCheckpoint>> {
-        let mut by_stream: std::collections::HashMap<String, (bool, StreamCheckpoint)> =
-            std::collections::HashMap::new();
+        let mut checkpoints = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            let is_binary_file = name.ends_with(".checkpoint.bin");
-            if !is_binary_file && !name.ends_with(".checkpoint.json") {
-                continue;
-            }
-            let bytes = self.io.read(&path)?;
-            let checkpoint: StreamCheckpoint = codec::decode(&bytes).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
-            })?;
-            let candidate = (is_binary_file, checkpoint);
-            match by_stream.remove(&candidate.1.stream) {
-                None => {
-                    by_stream.insert(candidate.1.stream.clone(), candidate);
-                }
-                Some(existing) => {
-                    let winner = fresher(existing, candidate);
-                    by_stream.insert(winner.1.stream.clone(), winner);
-                }
+            if path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.ends_with(".checkpoint.bin"))
+            {
+                checkpoints.push(self.read_checkpoint(&path)?);
             }
         }
-        let mut checkpoints: Vec<StreamCheckpoint> =
-            by_stream.into_values().map(|(_, c)| c).collect();
         checkpoints.sort_by(|a, b| a.stream.cmp(&b.stream));
         Ok(checkpoints)
     }
 
-    /// Loads one stream's checkpoint, whichever codec it was spilled with
-    /// (duplicates from a crashed codec switch resolve exactly like
-    /// [`SnapshotSink::load_checkpoints`]: later position wins, ties to
-    /// binary). Returns `Ok(None)` if the stream has no spill.
+    /// Loads one stream's checkpoint. Returns `Ok(None)` if the stream has
+    /// no spill.
     pub fn load_checkpoint(&self, stream: &str) -> io::Result<Option<StreamCheckpoint>> {
-        let mut best: Option<(bool, StreamCheckpoint)> = None;
-        for codec_kind in [CheckpointCodec::Binary, CheckpointCodec::Json] {
-            let path = self.checkpoint_path(stream, codec_kind);
-            if !path.exists() {
-                continue;
-            }
-            let bytes = self.io.read(&path)?;
-            let checkpoint: StreamCheckpoint = codec::decode(&bytes).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
-            })?;
-            let candidate = (codec_kind == CheckpointCodec::Binary, checkpoint);
-            best = Some(match best.take() {
-                None => candidate,
-                Some(existing) => fresher(existing, candidate),
-            });
+        let path = self.checkpoint_path(stream);
+        if !path.exists() {
+            return Ok(None);
         }
-        Ok(best.map(|(_, c)| c))
+        self.read_checkpoint(&path).map(Some)
+    }
+
+    /// Reads and decodes one checkpoint file through the I/O seam; a
+    /// decode error names the file.
+    fn read_checkpoint(&self, path: &Path) -> io::Result<StreamCheckpoint> {
+        let bytes = self.io.read(path)?;
+        codec::decode(&bytes).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
+        })
     }
 
     /// Appends one prequential snapshot to the stream's metrics history
@@ -526,8 +470,8 @@ impl SnapshotSink {
         Ok(())
     }
 
-    fn checkpoint_path(&self, stream: &str, codec: CheckpointCodec) -> PathBuf {
-        self.dir.join(format!("{}.checkpoint.{}", sanitize(stream), codec.extension()))
+    fn checkpoint_path(&self, stream: &str) -> PathBuf {
+        self.dir.join(format!("{}.checkpoint.bin", sanitize(stream)))
     }
 
     fn metrics_path(&self, stream: &str) -> PathBuf {
@@ -536,20 +480,6 @@ impl SnapshotSink {
 
     fn rotated_metrics_path(&self, stream: &str, generation: usize) -> PathBuf {
         self.dir.join(format!("{}.metrics.{generation}.jsonl", sanitize(stream)))
-    }
-}
-
-/// Of two spills for the same stream (possible only in the crash window
-/// between a spill's rename and its stale-file cleanup), the fresher one
-/// is the one capturing the later stream position — the direction of the
-/// codec switch says nothing about recency. Ties go to the binary file.
-fn fresher(a: (bool, StreamCheckpoint), b: (bool, StreamCheckpoint)) -> (bool, StreamCheckpoint) {
-    let position_a = a.1.checkpoint.processed().unwrap_or(0);
-    let position_b = b.1.checkpoint.processed().unwrap_or(0);
-    if position_a > position_b || (position_a == position_b && a.0) {
-        a
-    } else {
-        b
     }
 }
 

@@ -15,8 +15,8 @@
 //!   one thundering herd), and — when
 //!   [`CheckpointPolicy::on_drift`] is set — *urgently* right after the
 //!   stream signals a drift, because post-drift state is exactly the
-//!   state worth preserving. Spills use the sink's codec (the compact
-//!   binary codec by default) and land atomically;
+//!   state worth preserving. Spills are RBMC binary checkpoints and land
+//!   atomically;
 //! * **load-based auto-resize** — each tick the supervisor reads the
 //!   shards' lock-free queue gauges
 //!   ([`ServerHandle::shard_loads`](crate::server::ServerHandle::shard_loads)),

@@ -580,6 +580,49 @@ fn urgent_spill_same_tick_as_eviction_spills_the_cold_stream() {
     let _ = fs::remove_dir_all(dir);
 }
 
+/// After a clean eviction the spill file is the stream's only state. If an
+/// older spill of the same stream is written over it, loading the cold
+/// stream must fail instead of silently rewinding it; putting the right
+/// bytes back makes the stream whole again.
+#[test]
+fn rewound_cold_spill_fails_at_load() {
+    let feeds = fleet(1, 600);
+    let feed = &feeds[0];
+    let run = run_config();
+    let dir = scratch("rewound-spill");
+    let sink = SnapshotSink::new(&dir).unwrap();
+    let server = ServerHandle::start(ServeConfig { num_shards: 1, run, ..Default::default() });
+    let client = server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap();
+
+    ingest_all(&client, feed.instances[..300].to_vec());
+    server.drain();
+    let path = sink.spill_checkpoint(&server.checkpoint_stream(&feed.id).unwrap()).unwrap();
+    let stale = fs::read(&path).unwrap();
+    ingest_all(&client, feed.instances[300..].to_vec());
+    server.drain();
+    let spilled = sink.spill_checkpoint(&server.checkpoint_stream(&feed.id).unwrap()).unwrap();
+    assert_eq!(spilled, path, "one spill file per stream");
+    let current = fs::read(&path).unwrap();
+    server.hibernate_with(&feed.id, Some((600, path.clone()))).unwrap();
+    let scan = server.tier_scan();
+    let row = scan.iter().find(|e| e.id.as_ref() == feed.id).unwrap();
+    assert_eq!(row.tier, TierKind::ColdDisk, "a matching spill makes the eviction clean");
+
+    fs::write(&path, &stale).unwrap();
+    match server.checkpoint_stream(&feed.id) {
+        Err(ServeError::Checkpoint(message)) => {
+            assert!(message.contains("position 300"), "{message}");
+        }
+        other => panic!("a rewound spill must not load: {other:?}"),
+    }
+
+    fs::write(&path, &current).unwrap();
+    let checkpoint = server.checkpoint_stream(&feed.id).unwrap();
+    assert_eq!(checkpoint.checkpoint.processed().unwrap(), 600);
+    let _ = server.shutdown();
+    let _ = fs::remove_dir_all(dir);
+}
+
 /// One step of the model-based lifecycle walk below, decoded from a raw
 /// proptest draw. Ingest is weighted heaviest so most sequences make real
 /// progress through the stream before the tier machinery kicks in.

@@ -1,22 +1,25 @@
-//! `SnapshotSink` durability contract: codec equivalence and error paths.
+//! `SnapshotSink` durability contract: round trip, racing spills and
+//! error paths.
 //!
 //! Background spills are only worth having if a warm restart can trust
 //! them, so every failure mode must surface as a clean error naming the
 //! offending file: truncated spills, corrupt bytes, future codec
-//! versions, unwritable directories. And the two codecs must be perfectly
-//! interchangeable — a checkpoint spilled as JSON and one spilled as
-//! binary restore the *same* pipeline.
+//! versions, unwritable directories. And two sinks spilling the same
+//! stream into one directory at once must both succeed.
 
-use rbm_im_harness::checkpoint::codec::{CheckpointCodec, BINARY_MAGIC};
+use rbm_im_harness::checkpoint::codec::BINARY_MAGIC;
 use rbm_im_harness::checkpoint::PipelineCheckpoint;
 use rbm_im_harness::pipeline::{PipelineEvent, RunConfig};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
 use rbm_im_harness::stepper::PipelineStepper;
-use rbm_im_serve::{SnapshotSink, StreamCheckpoint};
+use rbm_im_serve::{SnapshotSink, SpillIo, StreamCheckpoint};
 use rbm_im_streams::generators::RandomRbfGenerator;
 use rbm_im_streams::{DataStream, StreamExt};
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// A unique scratch directory under the target-adjacent temp root.
 fn scratch(label: &str) -> PathBuf {
@@ -62,130 +65,96 @@ fn checkpoint_file(dir: &Path, suffix: &str) -> PathBuf {
         .unwrap_or_else(|| panic!("no *{suffix} in {}", dir.display()))
 }
 
-#[test]
-fn json_and_binary_spills_restore_the_same_checkpoint() {
-    let checkpoint = sample_checkpoint("feed-a");
-
-    let json_dir = scratch("json");
-    let json_sink = SnapshotSink::with_codec(&json_dir, CheckpointCodec::Json).unwrap();
-    let json_path = json_sink.spill_checkpoint(&checkpoint).unwrap();
-    assert!(json_path.to_string_lossy().ends_with(".checkpoint.json"));
-
-    let bin_dir = scratch("bin");
-    let bin_sink = SnapshotSink::with_codec(&bin_dir, CheckpointCodec::Binary).unwrap();
-    assert_eq!(bin_sink.codec(), CheckpointCodec::Binary);
-    let bin_path = bin_sink.spill_checkpoint(&checkpoint).unwrap();
-    assert!(bin_path.to_string_lossy().ends_with(".checkpoint.bin"));
-
-    // The binary spill carries the magic and is much smaller than the
-    // pretty JSON spill.
-    let bin_bytes = fs::read(&bin_path).unwrap();
-    let json_bytes = fs::read(&json_path).unwrap();
-    assert_eq!(&bin_bytes[..4], &BINARY_MAGIC);
-    assert!(
-        bin_bytes.len() * 4 <= json_bytes.len(),
-        "binary ({}) must be ≥4× smaller than the JSON spill ({})",
-        bin_bytes.len(),
-        json_bytes.len()
-    );
-
-    // Loading is codec-agnostic and the payloads are identical.
-    let from_json = json_sink.load_checkpoints().unwrap();
-    let from_bin = bin_sink.load_checkpoints().unwrap();
-    assert_eq!(from_json, from_bin);
-    assert_eq!(from_bin[0], checkpoint);
-    assert_eq!(bin_sink.load_checkpoint("feed-a").unwrap().unwrap(), checkpoint);
-    assert!(bin_sink.load_checkpoint("missing").unwrap().is_none());
-
-    let _ = fs::remove_dir_all(json_dir);
-    let _ = fs::remove_dir_all(bin_dir);
-}
-
-#[test]
-fn switching_codecs_replaces_the_old_spill_atomically() {
-    let dir = scratch("switch");
-    let checkpoint = sample_checkpoint("feed-b");
-    SnapshotSink::with_codec(&dir, CheckpointCodec::Json)
-        .unwrap()
-        .spill_checkpoint(&checkpoint)
-        .unwrap();
-    // Re-spill the same stream with the binary codec: the JSON file must
-    // be gone, or a later load would see a stale duplicate.
-    SnapshotSink::with_codec(&dir, CheckpointCodec::Binary)
-        .unwrap()
-        .spill_checkpoint(&checkpoint)
-        .unwrap();
-    let loaded = SnapshotSink::new(&dir).unwrap().load_checkpoints().unwrap();
-    assert_eq!(loaded.len(), 1, "stale other-codec spill must have been replaced");
-    assert_eq!(loaded[0], checkpoint);
-    // No leftover temp files from the atomic write protocol.
-    for entry in fs::read_dir(&dir).unwrap() {
+fn assert_no_tmp_files(dir: &Path) {
+    for entry in fs::read_dir(dir).unwrap() {
         let name = entry.unwrap().file_name();
         assert!(!name.to_string_lossy().ends_with(".tmp"), "leftover temp file {name:?}");
     }
-    let _ = fs::remove_dir_all(dir);
 }
 
 #[test]
-fn crash_window_duplicate_spills_dedupe_by_freshest_position() {
-    // Simulate a crash between a spill's rename and its stale-file
-    // cleanup: both codecs' files exist for one stream. Loading must
-    // return exactly one checkpoint per stream — the one capturing the
-    // later position, whichever direction the codec switch went — so a
-    // cold restart never restores a stream twice or from stale state.
-    let dir = scratch("crash-window");
-    let older = sample_checkpoint_at("feed-f", 300);
-    let fresh = sample_checkpoint_at("feed-f", 500);
+fn binary_spills_round_trip_without_leftover_tmp() {
+    let checkpoint = sample_checkpoint("feed-a");
+    let dir = scratch("bin");
+    let sink = SnapshotSink::new(&dir).unwrap();
+    let path = sink.spill_checkpoint(&checkpoint).unwrap();
+    assert!(path.to_string_lossy().ends_with(".checkpoint.bin"));
+    assert_eq!(&fs::read(&path).unwrap()[..4], &BINARY_MAGIC);
 
-    // Json -> Binary switch: stale JSON (older position) resurrected
-    // beside the fresh binary spill.
-    let json_sink = SnapshotSink::with_codec(&dir, CheckpointCodec::Json).unwrap();
-    let json_path = json_sink.spill_checkpoint(&older).unwrap();
-    let stale_bytes = fs::read(&json_path).unwrap();
-    let bin_sink = SnapshotSink::with_codec(&dir, CheckpointCodec::Binary).unwrap();
-    bin_sink.spill_checkpoint(&fresh).unwrap();
-    fs::write(&json_path, &stale_bytes).unwrap();
-    let loaded = bin_sink.load_checkpoints().unwrap();
-    assert_eq!(loaded.len(), 1, "one checkpoint per stream, not one per file");
-    assert_eq!(loaded[0], fresh, "the later-position spill must win");
-    assert_eq!(bin_sink.load_checkpoint("feed-f").unwrap().unwrap(), fresh);
-
-    // Binary -> Json switch: stale binary (older position) resurrected
-    // beside the fresh JSON spill — the JSON one must win now.
-    let dir2 = scratch("crash-window-reverse");
-    let bin_sink = SnapshotSink::with_codec(&dir2, CheckpointCodec::Binary).unwrap();
-    let bin_path = bin_sink.spill_checkpoint(&older).unwrap();
-    let stale_bytes = fs::read(&bin_path).unwrap();
-    let json_sink = SnapshotSink::with_codec(&dir2, CheckpointCodec::Json).unwrap();
-    json_sink.spill_checkpoint(&fresh).unwrap();
-    fs::write(&bin_path, &stale_bytes).unwrap();
-    let loaded = json_sink.load_checkpoints().unwrap();
-    assert_eq!(loaded.len(), 1);
-    assert_eq!(loaded[0], fresh, "freshness must beat the binary preference");
-    assert_eq!(json_sink.load_checkpoint("feed-f").unwrap().unwrap(), fresh);
-
+    assert_eq!(sink.load_checkpoints().unwrap(), vec![checkpoint.clone()]);
+    assert_eq!(sink.load_checkpoint("feed-a").unwrap().unwrap(), checkpoint);
+    assert!(sink.load_checkpoint("missing").unwrap().is_none());
+    // No leftover temp files from the atomic write protocol.
+    assert_no_tmp_files(&dir);
     let _ = fs::remove_dir_all(dir);
-    let _ = fs::remove_dir_all(dir2);
+}
+
+/// A [`SpillIo`] whose first write, once its temp file is on disk, runs a
+/// rival sink's spill of the same stream into the same directory before
+/// returning — the interleaving a supervisor and a second spiller hit when
+/// both spill one stream at once.
+#[derive(Debug)]
+struct InterleavingIo {
+    rival: SnapshotSink,
+    rival_checkpoint: StreamCheckpoint,
+    fired: AtomicBool,
+}
+
+impl SpillIo for InterleavingIo {
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        fs::write(path, bytes)?;
+        if !self.fired.swap(true, Ordering::SeqCst) {
+            self.rival.spill_checkpoint(&self.rival_checkpoint)?;
+        }
+        Ok(())
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        fs::rename(from, to)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        fs::read(path)
+    }
+}
+
+#[test]
+fn interleaved_spills_of_one_stream_both_succeed() {
+    let dir = scratch("interleaved");
+    let older = sample_checkpoint_at("feed-i", 300);
+    let fresh = sample_checkpoint_at("feed-i", 500);
+    let io = InterleavingIo {
+        rival: SnapshotSink::new(&dir).unwrap(),
+        rival_checkpoint: older,
+        fired: AtomicBool::new(false),
+    };
+    let sink = SnapshotSink::new(&dir).unwrap().with_io(Arc::new(io));
+    // The rival's spill lands while this spill's temp file is written but
+    // not yet renamed; each spill must publish its own temp file.
+    sink.spill_checkpoint(&fresh).expect("a racing spill must not steal this spill's temp file");
+    assert_eq!(sink.load_checkpoint("feed-i").unwrap().unwrap(), fresh, "the later rename wins");
+    assert_no_tmp_files(&dir);
+    let _ = fs::remove_dir_all(dir);
 }
 
 #[test]
 fn opening_a_sink_sweeps_orphan_tmp_files() {
     // A crash (or injected ENOSPC) between the atomic-write protocol's
-    // temp write and its rename leaves a `*.checkpoint.<ext>.tmp` orphan
-    // behind. The next sink opened on the directory must sweep those so
+    // temp write and its rename leaves a `*.checkpoint.bin.<pid>-<seq>.tmp`
+    // orphan behind. The next sink opened on the directory must sweep those so
     // debris never accumulates — while leaving real checkpoints and
     // unrelated files alone.
     let dir = scratch("tmp-sweep");
-    let sink = SnapshotSink::with_codec(&dir, CheckpointCodec::Binary).unwrap();
+    let sink = SnapshotSink::new(&dir).unwrap();
     let checkpoint = sample_checkpoint("feed-g");
     sink.spill_checkpoint(&checkpoint).unwrap();
-    fs::write(dir.join("feed-g.checkpoint.bin.tmp"), b"half-written").unwrap();
-    fs::write(dir.join("other.checkpoint.json.tmp"), b"half-written").unwrap();
+    fs::write(dir.join("feed-g.checkpoint.bin.4242-7.tmp"), b"half-written").unwrap();
+    fs::write(dir.join("other.checkpoint.bin.tmp"), b"half-written").unwrap();
     fs::write(dir.join("notes.tmp"), b"not checkpoint debris").unwrap();
 
-    let reopened = SnapshotSink::with_codec(&dir, CheckpointCodec::Binary).unwrap();
-    assert!(!dir.join("feed-g.checkpoint.bin.tmp").exists(), "orphan binary tmp must be swept");
-    assert!(!dir.join("other.checkpoint.json.tmp").exists(), "orphan json tmp must be swept");
+    let reopened = SnapshotSink::new(&dir).unwrap();
+    assert!(!dir.join("feed-g.checkpoint.bin.4242-7.tmp").exists(), "orphan tmp must be swept");
+    assert!(!dir.join("other.checkpoint.bin.tmp").exists(), "older-style orphan must be swept");
     assert!(dir.join("notes.tmp").exists(), "non-checkpoint tmp files are not ours to delete");
     assert_eq!(
         reopened.load_checkpoint("feed-g").unwrap().unwrap(),
@@ -221,31 +190,29 @@ fn unwritable_directory_is_a_clean_error() {
 
 #[test]
 fn truncated_and_corrupt_spills_error_at_load() {
-    for codec in [CheckpointCodec::Binary, CheckpointCodec::Json] {
-        let dir = scratch(&format!("corrupt-{codec}"));
-        let sink = SnapshotSink::with_codec(&dir, codec).unwrap();
-        sink.spill_checkpoint(&sample_checkpoint("feed-d")).unwrap();
-        let path = checkpoint_file(&dir, &format!(".checkpoint.{}", codec.extension()));
+    let dir = scratch("corrupt");
+    let sink = SnapshotSink::new(&dir).unwrap();
+    sink.spill_checkpoint(&sample_checkpoint("feed-d")).unwrap();
+    let path = checkpoint_file(&dir, ".checkpoint.bin");
 
-        // Truncate to half: load must fail and name the file.
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = sink.load_checkpoints().expect_err("truncated spill must not load");
-        assert!(err.to_string().contains("checkpoint."), "error should name the file: {err}");
-        let err = sink.load_checkpoint("feed-d").expect_err("single load must also fail");
-        assert!(err.to_string().contains("checkpoint."), "{err}");
+    // Truncate to half: load must fail and name the file.
+    let bytes = fs::read(&path).unwrap();
+    fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+    let err = sink.load_checkpoints().expect_err("truncated spill must not load");
+    assert!(err.to_string().contains("checkpoint."), "error should name the file: {err}");
+    let err = sink.load_checkpoint("feed-d").expect_err("single load must also fail");
+    assert!(err.to_string().contains("checkpoint."), "{err}");
 
-        // Arbitrary garbage: same clean failure.
-        fs::write(&path, b"\xff\xfe\xfdgarbage").unwrap();
-        assert!(sink.load_checkpoints().is_err());
-        let _ = fs::remove_dir_all(dir);
-    }
+    // Arbitrary garbage: same clean failure.
+    fs::write(&path, b"\xff\xfe\xfdgarbage").unwrap();
+    assert!(sink.load_checkpoints().is_err());
+    let _ = fs::remove_dir_all(dir);
 }
 
 #[test]
 fn future_codec_version_is_a_clean_error() {
     let dir = scratch("version");
-    let sink = SnapshotSink::with_codec(&dir, CheckpointCodec::Binary).unwrap();
+    let sink = SnapshotSink::new(&dir).unwrap();
     sink.spill_checkpoint(&sample_checkpoint("feed-e")).unwrap();
     let path = checkpoint_file(&dir, ".checkpoint.bin");
     let mut bytes = fs::read(&path).unwrap();
