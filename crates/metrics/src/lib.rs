@@ -28,6 +28,9 @@ pub mod confusion;
 pub mod detection;
 pub mod prequential;
 
+#[cfg(test)]
+mod reference;
+
 pub use auc::WindowedMultiClassAuc;
 pub use confusion::StreamingConfusionMatrix;
 pub use detection::{evaluate_detections, DetectionQuality};

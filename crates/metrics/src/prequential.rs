@@ -6,6 +6,11 @@
 //! predictions (the paper uses `W = 1000`), and the quantities reported in
 //! Table III are the averages of those windowed metrics sampled once per
 //! window over the whole stream.
+//!
+//! Each sample is computed once: the evaluator keeps the latest periodic
+//! snapshot and hands it back from [`PrequentialEvaluator::snapshot`] until
+//! the next instance is recorded, so a caller that also reports metrics at
+//! window boundaries does not pay for a second pmAUC sweep.
 
 use crate::auc::WindowedMultiClassAuc;
 use crate::confusion::StreamingConfusionMatrix;
@@ -36,13 +41,13 @@ pub struct PrequentialEvaluator {
     window_confusion: StreamingConfusionMatrix,
     /// Recent (true, predicted) pairs backing the windowed confusion matrix.
     recent: VecDeque<(usize, usize)>,
-    /// Snapshots taken every `window_size` instances.
-    snapshots: Vec<PrequentialSnapshot>,
+    /// The latest snapshot taken at a window boundary (one is taken every
+    /// `window_size` instances; older ones live on only in the sums).
+    last: Option<PrequentialSnapshot>,
     /// Total instances processed.
     count: u64,
-    /// Running sums for stream-average metrics (computed from snapshots at
-    /// the end, but also accumulated per instance for robustness on short
-    /// streams).
+    /// Running sums of the periodic samples and their count: the stream
+    /// averages, which need no snapshot history.
     sum_auc: f64,
     sum_gmean: f64,
     samples: u64,
@@ -58,7 +63,7 @@ impl PrequentialEvaluator {
             auc: WindowedMultiClassAuc::new(num_classes, window_size),
             window_confusion: StreamingConfusionMatrix::new(num_classes),
             recent: VecDeque::with_capacity(window_size),
-            snapshots: Vec::new(),
+            last: None,
             count: 0,
             sum_auc: 0.0,
             sum_gmean: 0.0,
@@ -80,16 +85,24 @@ impl PrequentialEvaluator {
         // Sample the windowed metrics once per full window (and once the
         // first window has filled), mirroring MOA's evaluation cadence.
         if self.count.is_multiple_of(self.window_size as u64) {
-            let snap = self.snapshot();
+            let snap = self.compute_snapshot();
             self.sum_auc += snap.pm_auc;
             self.sum_gmean += snap.pm_gmean;
             self.samples += 1;
-            self.snapshots.push(snap);
+            self.last = Some(snap);
         }
     }
 
-    /// Current windowed metrics.
+    /// Current windowed metrics. At a window boundary this is the periodic
+    /// snapshot already taken there, not a recomputation.
     pub fn snapshot(&self) -> PrequentialSnapshot {
+        match self.last {
+            Some(snap) if snap.position == self.count => snap,
+            _ => self.compute_snapshot(),
+        }
+    }
+
+    fn compute_snapshot(&self) -> PrequentialSnapshot {
         PrequentialSnapshot {
             position: self.count,
             pm_auc: self.auc.auc(),
@@ -99,9 +112,9 @@ impl PrequentialEvaluator {
         }
     }
 
-    /// All periodic snapshots collected so far (one per full window).
-    pub fn snapshots(&self) -> &[PrequentialSnapshot] {
-        &self.snapshots
+    /// The latest periodic snapshot (taken once per full window), if any.
+    pub fn last_snapshot(&self) -> Option<PrequentialSnapshot> {
+        self.last
     }
 
     /// Stream-averaged pmAUC: the mean of the periodic windowed snapshots
@@ -140,8 +153,9 @@ impl PrequentialEvaluator {
     }
 
     /// Captures the evaluator's complete mutable state — the AUC window,
-    /// the windowed confusion matrix, the periodic-snapshot history and the
-    /// running stream averages — as a serde value. Restored with
+    /// the windowed confusion matrix, the latest periodic snapshot (as the
+    /// `snapshots` list, holding at most one entry) and the running stream
+    /// averages — as a serde value. Restored with
     /// [`PrequentialEvaluator::restore_state`] onto an evaluator built with
     /// the same class count and window size, the evaluator continues
     /// bitwise-identically to one that was never checkpointed.
@@ -152,7 +166,7 @@ impl PrequentialEvaluator {
             ("auc", self.auc.snapshot_state()),
             ("window_confusion", self.window_confusion.serialize_value()),
             ("recent", self.recent.serialize_value()),
-            ("snapshots", self.snapshots.serialize_value()),
+            ("snapshots", self.last.as_slice().serialize_value()),
             ("count", self.count.serialize_value()),
             ("sum_auc", self.sum_auc.serialize_value()),
             ("sum_gmean", self.sum_gmean.serialize_value()),
@@ -162,7 +176,8 @@ impl PrequentialEvaluator {
 
     /// Restores state captured by [`PrequentialEvaluator::snapshot_state`].
     /// Fails if the snapshot was taken with a different class count or
-    /// window size.
+    /// window size. A longer `snapshots` history, as older checkpoints
+    /// carry, restores its last entry.
     pub fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
         let num_classes: usize = state.field("num_classes")?;
         let window_size: usize = state.field("window_size")?;
@@ -180,7 +195,7 @@ impl PrequentialEvaluator {
             return Err(serde::Error::msg("confusion matrix class count mismatch"));
         }
         self.recent = state.field("recent")?;
-        self.snapshots = state.field("snapshots")?;
+        self.last = state.field::<Vec<PrequentialSnapshot>>("snapshots")?.pop();
         self.count = state.field("count")?;
         self.sum_auc = state.field("sum_auc")?;
         self.sum_gmean = state.field("sum_gmean")?;
@@ -210,7 +225,7 @@ mod tests {
         let snap = ev.snapshot();
         assert!((snap.accuracy - 1.0).abs() < 1e-12);
         assert!((snap.kappa - 1.0).abs() < 1e-12);
-        assert_eq!(ev.snapshots().len(), 10);
+        assert_eq!(ev.last_snapshot().map(|s| s.position), Some(1000));
     }
 
     #[test]
@@ -257,7 +272,7 @@ mod tests {
             ev.record(c, c, &one_hot(2, c));
         }
         // No full window yet — averages come from the live window.
-        assert!(ev.snapshots().is_empty());
+        assert!(ev.last_snapshot().is_none());
         assert!((ev.average_pm_auc() - 1.0).abs() < 1e-9);
         assert!((ev.average_pm_gmean() - 1.0).abs() < 1e-9);
     }
@@ -265,11 +280,16 @@ mod tests {
     #[test]
     fn snapshot_positions_are_window_aligned() {
         let mut ev = PrequentialEvaluator::new(2, 50);
+        let mut positions = Vec::new();
         for i in 0..175u64 {
             let c = (i % 2) as usize;
             ev.record(c, c, &one_hot(2, c));
+            if let Some(snap) = ev.last_snapshot() {
+                if positions.last() != Some(&snap.position) {
+                    positions.push(snap.position);
+                }
+            }
         }
-        let positions: Vec<u64> = ev.snapshots().iter().map(|s| s.position).collect();
         assert_eq!(positions, vec![50, 100, 150]);
         assert_eq!(ev.window_size(), 50);
         assert_eq!(ev.num_classes(), 2);
@@ -312,11 +332,99 @@ mod tests {
         assert_eq!(resumed.snapshot(), uninterrupted.snapshot());
         assert_eq!(resumed.average_pm_auc(), uninterrupted.average_pm_auc());
         assert_eq!(resumed.average_pm_gmean(), uninterrupted.average_pm_gmean());
-        assert_eq!(resumed.snapshots(), uninterrupted.snapshots());
+        assert_eq!(resumed.last_snapshot(), uninterrupted.last_snapshot());
         assert_eq!(resumed.count(), uninterrupted.count());
 
         // Shape mismatches are rejected, not silently accepted.
         let mut wrong = PrequentialEvaluator::new(4, 100);
         assert!(wrong.restore_state(&serde_json::parse_value(&json).unwrap()).is_err());
+    }
+
+    fn assert_bitwise(label: &str, got: PrequentialSnapshot, want: PrequentialSnapshot) {
+        assert_eq!(got.position, want.position, "{label}: position");
+        for (name, g, w) in [
+            ("pm_auc", got.pm_auc, want.pm_auc),
+            ("pm_gmean", got.pm_gmean, want.pm_gmean),
+            ("accuracy", got.accuracy, want.accuracy),
+            ("kappa", got.kappa, want.kappa),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{label}: {name}");
+        }
+    }
+
+    /// Noisy 4-class records so every windowed metric is non-trivial.
+    fn noisy_record(ev: &mut PrequentialEvaluator, i: u64) {
+        let true_class = (i % 4) as usize;
+        let predicted = if i.is_multiple_of(3) { (true_class + 1) % 4 } else { true_class };
+        let mut scores = one_hot(4, predicted);
+        scores[(i % 4) as usize] += 0.05 * ((i * 7 % 11) as f64);
+        ev.record(true_class, predicted, &scores);
+    }
+
+    #[test]
+    fn boundary_snapshot_is_the_stored_sample_and_matches_a_fresh_computation() {
+        let mut ev = PrequentialEvaluator::new(4, 100);
+        for i in 0..300u64 {
+            noisy_record(&mut ev, i);
+            let snap = ev.snapshot();
+            assert_bitwise(&format!("position {}", i + 1), snap, ev.compute_snapshot());
+            if (i + 1) % 100 == 0 {
+                assert_eq!(ev.last_snapshot(), Some(snap), "the boundary sample is served");
+            }
+        }
+    }
+
+    #[test]
+    fn restored_at_a_window_boundary_the_snapshot_is_bitwise_fresh() {
+        let mut head = PrequentialEvaluator::new(4, 100);
+        for i in 0..300u64 {
+            noisy_record(&mut head, i);
+        }
+        let json = serde_json::to_string(&head.snapshot_state()).unwrap();
+        let mut resumed = PrequentialEvaluator::new(4, 100);
+        resumed.restore_state(&serde_json::parse_value(&json).unwrap()).unwrap();
+        assert_eq!(resumed.last_snapshot().map(|s| s.position), Some(300));
+        assert_bitwise("restored", resumed.snapshot(), head.compute_snapshot());
+        assert_bitwise("restored, recomputed", resumed.compute_snapshot(), head.compute_snapshot());
+        for i in 300..450u64 {
+            noisy_record(&mut head, i);
+            noisy_record(&mut resumed, i);
+            assert_bitwise(&format!("position {}", i + 1), resumed.snapshot(), head.snapshot());
+        }
+        assert_eq!(resumed.average_pm_auc().to_bits(), head.average_pm_auc().to_bits());
+    }
+
+    #[test]
+    fn history_is_bounded_and_a_longer_legacy_history_keeps_its_last_entry() {
+        let mut ev = PrequentialEvaluator::new(4, 50);
+        for i in 0..520u64 {
+            noisy_record(&mut ev, i);
+        }
+        let state = ev.snapshot_state();
+        let history: Vec<PrequentialSnapshot> = state.field("snapshots").unwrap();
+        assert_eq!(history, vec![ev.last_snapshot().unwrap()]);
+        assert_eq!(history[0].position, 500);
+
+        // An older checkpoint carried every periodic snapshot.
+        let older = PrequentialSnapshot { position: 450, ..history[0] };
+        let legacy = match state {
+            serde::Value::Object(fields) => serde::Value::Object(
+                fields
+                    .into_iter()
+                    .map(|(key, value)| {
+                        if key == "snapshots" {
+                            (key, vec![older, history[0]].serialize_value())
+                        } else {
+                            (key, value)
+                        }
+                    })
+                    .collect(),
+            ),
+            other => panic!("evaluator state is an object, got {other:?}"),
+        };
+        let mut restored = PrequentialEvaluator::new(4, 50);
+        restored.restore_state(&legacy).unwrap();
+        assert_eq!(restored.last_snapshot(), Some(history[0]));
+        assert_eq!(restored.snapshot_state(), ev.snapshot_state());
     }
 }

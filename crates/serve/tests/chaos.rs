@@ -657,6 +657,9 @@ fn supervisor_races_stay_bitwise_under_injected_faults() {
         ..FaultConfig::quiet(23)
     };
     let plane = Arc::new(FaultPlane::new(config));
+    // The rate alone fires only if the run spills often enough, and a
+    // faster run spills less: arm one ENOSPC so the race always has one.
+    plane.arm(FaultSite::SpillEnospc, 1);
     let server = Arc::new(ServerHandle::start_with_faults(
         ServeConfig { num_shards: 2, queue_capacity: 64, run, ..Default::default() },
         Arc::new(DetectorRegistry::with_defaults()),
