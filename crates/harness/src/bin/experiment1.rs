@@ -9,80 +9,73 @@
 //!     [--threads T] [--json out.json]
 //! ```
 //! `--scale 1` reproduces paper-length streams (slow); the default of 20
-//! finishes in minutes. The grid runs on all cores by default; `--threads`
-//! pins the rayon worker count (results are identical either way).
+//! finishes in minutes. The grid runs one benchmark row per worker, on all
+//! cores by default; `--threads` sets the worker count (results are
+//! identical either way).
 
 use rbm_im_harness::detectors::DetectorKind;
-use rbm_im_harness::experiment1::{run_experiment1, Experiment1Config};
+use rbm_im_harness::experiment1::{run_experiment1, selected_benchmarks, Experiment1Config};
+use rbm_im_harness::pipeline::available_threads;
 use rbm_im_harness::report::{format_ranking, format_table3, to_json};
+use std::num::NonZeroUsize;
+
+mod cli;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut config = Experiment1Config::default();
     let mut json_path: Option<String> = None;
-    let mut threads: Option<usize> = None;
+    let mut threads = available_threads();
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
-                config.build.scale_divisor = args[i + 1].parse().expect("--scale needs an integer");
+                config.build.scale_divisor = cli::value(&args, i, "an integer");
                 i += 2;
             }
             "--threads" => {
-                threads = Some(args[i + 1].parse().expect("--threads needs an integer"));
+                threads = cli::value::<NonZeroUsize>(&args, i, "a positive integer").get();
                 i += 2;
             }
             "--seed" => {
-                config.build.seed = args[i + 1].parse().expect("--seed needs an integer");
+                config.build.seed = cli::value(&args, i, "an integer");
                 i += 2;
             }
             "--benchmarks" => {
-                config.benchmarks = args[i + 1].split(',').map(|s| s.trim().to_string()).collect();
+                config.benchmarks =
+                    cli::text(&args, i).split(',').map(|s| s.trim().to_string()).collect();
                 i += 2;
             }
             "--max-instances" => {
-                config.run.max_instances =
-                    Some(args[i + 1].parse().expect("--max-instances needs an integer"));
+                config.run.max_instances = Some(cli::value(&args, i, "an integer"));
                 i += 2;
             }
             "--json" => {
-                json_path = Some(args[i + 1].clone());
+                json_path = Some(cli::text(&args, i).to_string());
                 i += 2;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => cli::fail(&format!("unknown argument: {other}")),
         }
     }
 
+    let benchmarks = selected_benchmarks(&config).unwrap_or_else(|e| cli::fail(&e));
     eprintln!(
         "Experiment 1: {} detectors x {} benchmarks (scale 1/{})",
         config.detectors.len(),
-        if config.benchmarks.is_empty() { 24 } else { config.benchmarks.len() },
+        benchmarks.len(),
         config.build.scale_divisor
     );
-    let run = |config: &Experiment1Config| {
-        run_experiment1(config, |r| {
-            eprintln!(
-                "  {:<14} {:<10} pmAUC {:6.2}  pmGM {:6.2}  drifts {:4}  ({} instances)",
-                r.stream,
-                r.detector,
-                r.pm_auc,
-                r.pm_gmean,
-                r.drift_count(),
-                r.instances
-            );
-        })
-    };
-    let result = match threads {
-        Some(t) => rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build()
-            .expect("thread pool")
-            .install(|| run(&config)),
-        None => run(&config),
-    };
+    let result = run_experiment1(&config, threads, |r| {
+        eprintln!(
+            "  {:<14} {:<10} pmAUC {:6.2}  pmGM {:6.2}  drifts {:4}  ({} instances)",
+            r.stream,
+            r.detector,
+            r.pm_auc,
+            r.pm_gmean,
+            r.drift_count(),
+            r.instances
+        );
+    });
 
     println!("{}", format_table3(&result, "pmAUC"));
     println!("{}", format_table3(&result, "pmGM"));

@@ -10,6 +10,8 @@
 use rbm_im_harness::experiment3::{run_experiment3, Experiment3Config};
 use rbm_im_harness::report::{format_fig9, to_json};
 
+mod cli;
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut config = Experiment3Config::default();
@@ -18,36 +20,33 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--classes" => {
-                config.num_classes = args[i + 1].parse().expect("--classes needs an integer");
+                config.num_classes = cli::value(&args, i, "an integer");
                 i += 2;
             }
             "--features" => {
-                config.num_features = args[i + 1].parse().expect("--features needs an integer");
+                config.num_features = cli::value(&args, i, "an integer");
                 i += 2;
             }
             "--length" => {
-                config.length = args[i + 1].parse().expect("--length needs an integer");
+                config.length = cli::value(&args, i, "an integer");
                 i += 2;
             }
             "--seed" => {
-                config.seed = args[i + 1].parse().expect("--seed needs an integer");
+                config.seed = cli::value(&args, i, "an integer");
                 i += 2;
             }
             "--ratios" => {
-                config.imbalance_ratios = args[i + 1]
+                config.imbalance_ratios = cli::text(&args, i)
                     .split(',')
-                    .map(|s| s.trim().parse().expect("--ratios needs numbers"))
+                    .map(|s| cli::parse("--ratios", s.trim(), "numbers"))
                     .collect();
                 i += 2;
             }
             "--json" => {
-                json_path = Some(args[i + 1].clone());
+                json_path = Some(cli::text(&args, i).to_string());
                 i += 2;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => cli::fail(&format!("unknown argument: {other}")),
         }
     }
     eprintln!(

@@ -2,11 +2,10 @@
 //! (Table III) with Friedman / Bonferroni–Dunn ranking (Figs. 4–5) and
 //! Bayesian signed pairwise tests (Figs. 6–7).
 //!
-//! The full grid (detectors × benchmarks) runs through the rayon-parallel
-//! [`run_grid`](crate::pipeline::run_grid), one deterministic cell per
-//! pair, so wall-clock time scales
-//! with the core count while the output stays byte-identical to a
-//! single-threaded run.
+//! The full grid (detectors × benchmarks) runs through the parallel
+//! [`run_grid_observed`], one benchmark row per worker at a time, so
+//! wall-clock time scales with the core count while the output stays
+//! byte-identical to a single-threaded run.
 
 use crate::detectors::DetectorKind;
 use crate::pipeline::{run_grid_observed, GridStream, RunConfig, RunResult};
@@ -166,38 +165,56 @@ impl Experiment1Result {
     }
 }
 
-/// Selects the benchmarks requested by the configuration.
-pub fn selected_benchmarks(config: &Experiment1Config) -> Vec<BenchmarkSpec> {
+/// Selects the benchmarks requested by the configuration (all 24 when none
+/// are named), in registry order. Names match case-insensitively; the error
+/// names every requested entry that matches no benchmark.
+pub fn selected_benchmarks(config: &Experiment1Config) -> Result<Vec<BenchmarkSpec>, String> {
     let all = all_benchmarks();
     if config.benchmarks.is_empty() {
-        all
-    } else {
-        all.into_iter()
-            .filter(|b| config.benchmarks.iter().any(|n| n.eq_ignore_ascii_case(&b.name)))
-            .collect()
+        return Ok(all);
     }
+    let known = |name: &str| all.iter().any(|b| name.eq_ignore_ascii_case(&b.name));
+    let unknown: Vec<&str> =
+        config.benchmarks.iter().map(String::as_str).filter(|name| !known(name)).collect();
+    if !unknown.is_empty() {
+        let names: Vec<&str> = all.iter().map(|b| b.name.as_str()).collect();
+        return Err(format!(
+            "unknown benchmark(s): {} (known: {})",
+            unknown.join(", "),
+            names.join(", ")
+        ));
+    }
+    Ok(all
+        .into_iter()
+        .filter(|b| config.benchmarks.iter().any(|n| n.eq_ignore_ascii_case(&b.name)))
+        .collect())
 }
 
 /// Runs Experiment 1: every configured detector on every configured
-/// benchmark, as one parallel grid. `progress` is called live as each cell
-/// completes (completion order, so long grids show progress); the returned
-/// result is in deterministic benchmark-major grid order. Pass `|_| {}` to
-/// ignore progress.
+/// benchmark, as one grid on `threads` workers. `progress` is called live
+/// as each cell completes (completion order, so long grids show progress);
+/// the returned result is in deterministic benchmark-major grid order,
+/// whatever `threads` is. Pass `|_| {}` to ignore progress.
+///
+/// # Panics
+///
+/// If [`selected_benchmarks`] rejects the configuration.
 pub fn run_experiment1(
     config: &Experiment1Config,
+    threads: usize,
     progress: impl FnMut(&RunResult) + Send,
 ) -> Experiment1Result {
     let build: BuildConfig = config.build.into();
-    let specs = selected_benchmarks(config);
+    let specs = selected_benchmarks(config).unwrap_or_else(|e| panic!("{e}"));
     let detectors: Vec<_> = config.detectors.iter().map(|d| d.spec()).collect();
     let streams: Vec<GridStream> =
         specs.iter().map(|s| GridStream::from_benchmark(s.clone(), build)).collect();
     let progress = std::sync::Mutex::new(progress);
-    let runs =
-        run_grid_observed(DetectorRegistry::global(), &detectors, &streams, &config.run, |run| {
-            (progress.lock().expect("progress sink poisoned"))(run)
-        })
-        .expect("every DetectorKind resolves against the default registry");
+    let registry = DetectorRegistry::global();
+    let runs = run_grid_observed(registry, &detectors, &streams, &config.run, threads, |run| {
+        (progress.lock().expect("progress sink poisoned"))(run)
+    })
+    .expect("every DetectorKind resolves against the default registry");
     Experiment1Result {
         runs,
         benchmarks: specs.iter().map(|s| s.name.clone()).collect(),
@@ -229,7 +246,7 @@ mod tests {
     fn tiny_experiment_produces_full_matrix() {
         let config = tiny_config();
         let mut seen = 0usize;
-        let result = run_experiment1(&config, |_| seen += 1);
+        let result = run_experiment1(&config, 2, |_| seen += 1);
         assert_eq!(seen, 6);
         assert_eq!(result.runs.len(), 6);
         assert_eq!(result.benchmarks.len(), 2);
@@ -243,7 +260,7 @@ mod tests {
 
     #[test]
     fn rank_analysis_runs_on_experiment_output() {
-        let result = run_experiment1(&tiny_config(), |_| {});
+        let result = run_experiment1(&tiny_config(), 2, |_| {});
         let friedman = result.friedman_pm_auc().unwrap();
         assert_eq!(friedman.average_ranks.len(), 3);
         let cd = result.critical_difference(0.05).unwrap();
@@ -261,9 +278,17 @@ mod tests {
             benchmarks: vec!["rbf5".into(), "electricity".into()],
             ..Default::default()
         };
-        let specs = selected_benchmarks(&config);
-        assert_eq!(specs.len(), 2);
+        let specs = selected_benchmarks(&config).unwrap();
+        let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["Electricity", "RBF5"], "registry order, registry spelling");
         config.benchmarks.clear();
-        assert_eq!(selected_benchmarks(&config).len(), 24);
+        assert_eq!(selected_benchmarks(&config).unwrap().len(), 24);
+
+        // Every unknown entry is named; the known one is not.
+        config.benchmarks = vec!["Nope".into(), "EEG".into(), "Bogus".into()];
+        let err = selected_benchmarks(&config).unwrap_err();
+        assert!(err.starts_with("unknown benchmark(s): Nope, Bogus (known: "), "{err}");
+        config.benchmarks = vec!["Nope".into()];
+        assert!(selected_benchmarks(&config).is_err(), "no silently empty grid");
     }
 }

@@ -6,7 +6,7 @@
 //! each detector. The fewer classes drift, the harder the detection.
 
 use crate::detectors::DetectorKind;
-use crate::pipeline::{run_grid_observed, GridStream, RunConfig, RunResult};
+use crate::pipeline::{available_threads, run_grid_observed, GridStream, RunConfig, RunResult};
 use crate::registry::DetectorRegistry;
 use rbm_im_streams::drift::DriftKind;
 use rbm_im_streams::scenarios::{scenario3, ScenarioConfig};
@@ -119,12 +119,13 @@ pub fn run_experiment2(
     let k_by_name: std::collections::BTreeMap<String, usize> =
         streams.iter().map(|s| s.name.clone()).zip(sweep.iter().copied()).collect();
     let progress = std::sync::Mutex::new(progress);
-    let results =
-        run_grid_observed(DetectorRegistry::global(), &detectors, &streams, &config.run, |run| {
-            let k = k_by_name[&run.stream];
-            (progress.lock().expect("progress sink poisoned"))(k, run);
-        })
-        .expect("every DetectorKind resolves against the default registry");
+    let registry = DetectorRegistry::global();
+    let threads = available_threads();
+    let results = run_grid_observed(registry, &detectors, &streams, &config.run, threads, |run| {
+        let k = k_by_name[&run.stream];
+        (progress.lock().expect("progress sink poisoned"))(k, run);
+    })
+    .expect("every DetectorKind resolves against the default registry");
     let mut points = Vec::new();
     for (chunk, &k) in results.chunks(detectors.len().max(1)).zip(sweep.iter()) {
         points.push(LocalDriftPoint { classes_with_drift: k, runs: chunk.to_vec() });

@@ -6,7 +6,7 @@
 //! and reports the pmAUC of the classifier driven by each detector.
 
 use crate::detectors::DetectorKind;
-use crate::pipeline::{run_grid_observed, GridStream, RunConfig, RunResult};
+use crate::pipeline::{available_threads, run_grid_observed, GridStream, RunConfig, RunResult};
 use crate::registry::DetectorRegistry;
 use rbm_im_streams::drift::DriftKind;
 use rbm_im_streams::scenarios::{scenario2, ScenarioConfig};
@@ -114,12 +114,13 @@ pub fn run_experiment3(
     let ir_by_name: std::collections::BTreeMap<String, f64> =
         streams.iter().map(|s| s.name.clone()).zip(ratios.iter().copied()).collect();
     let progress = std::sync::Mutex::new(progress);
-    let results =
-        run_grid_observed(DetectorRegistry::global(), &detectors, &streams, &config.run, |run| {
-            let ir = ir_by_name[&run.stream];
-            (progress.lock().expect("progress sink poisoned"))(ir, run);
-        })
-        .expect("every DetectorKind resolves against the default registry");
+    let registry = DetectorRegistry::global();
+    let threads = available_threads();
+    let results = run_grid_observed(registry, &detectors, &streams, &config.run, threads, |run| {
+        let ir = ir_by_name[&run.stream];
+        (progress.lock().expect("progress sink poisoned"))(ir, run);
+    })
+    .expect("every DetectorKind resolves against the default registry");
     let mut points = Vec::new();
     for (chunk, &ir) in results.chunks(detectors.len().max(1)).zip(ratios.iter()) {
         points.push(ImbalancePoint { imbalance_ratio: ir, runs: chunk.to_vec() });

@@ -11,8 +11,8 @@
 //! * [`registry::DetectorRegistry`] / [`registry::DetectorSpec`] — the open,
 //!   string-keyed detector catalogue (`"adwin(delta=0.01)"` is a valid
 //!   spec); new detectors register without touching this crate;
-//! * [`pipeline::run_grid`] — the rayon-parallel detectors × streams grid
-//!   with deterministic per-cell seeding that experiments 1–3 are built on;
+//! * [`pipeline::run_grid`] — the parallel detectors × streams grid, one
+//!   stream pass per row, that experiments 1–3 are built on;
 //! * [`detectors::DetectorKind`] — compat shim enumerating the paper's
 //!   line-up, resolved through the registry.
 //!

@@ -1,6 +1,6 @@
 //! The unified evaluation `Pipeline`: stream × classifier × detector ×
 //! metrics, composed through [`PipelineBuilder`] and scaled out through the
-//! rayon-parallel [`run_grid`].
+//! parallel [`run_grid`].
 //!
 //! The pipeline
 //!
@@ -35,15 +35,16 @@
 
 use crate::registry::{DetectorRegistry, DetectorSpec, RegistryError};
 use crate::stepper::PipelineStepper;
-use rayon::prelude::*;
 use rbm_im_classifiers::{CostSensitivePerceptronTree, OnlineClassifier};
 use rbm_im_detectors::DriftDetector;
 use rbm_im_metrics::PrequentialSnapshot;
 use rbm_im_streams::registry::{BenchmarkSpec, BuildConfig};
-use rbm_im_streams::source::StreamSource;
 use rbm_im_streams::{DataStream, StreamSchema};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Configuration of a single prequential run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -349,9 +350,9 @@ impl<'a, C: OnlineClassifier> PipelineBuilder<'a, C> {
     }
 }
 
-/// A named, repeatable stream source for [`run_grid`]: every call to
-/// [`GridStream::build`] must yield an identical stream, so grid cells can
-/// be evaluated in any order (and on any thread) with identical results.
+/// A named stream factory for [`run_grid`]: the grid builds each row's
+/// stream once, on whichever worker takes the row, so the factory must be
+/// deterministic for results not to depend on the worker count.
 pub struct GridStream {
     /// Name recorded in the results (benchmark name / sweep label).
     pub name: String,
@@ -367,7 +368,7 @@ impl GridStream {
         GridStream { name: name.into(), builder: Box::new(builder) }
     }
 
-    /// Grid stream for a registry benchmark, with the cell seed derived
+    /// Grid stream for a registry benchmark, with the stream seed derived
     /// deterministically from the base seed and the benchmark name (all
     /// detectors on a benchmark see the *same* stream — the fairness
     /// requirement of the Friedman ranking — while different benchmarks are
@@ -376,14 +377,6 @@ impl GridStream {
         let cell_build = BuildConfig { seed: derive_seed(build.seed, &spec.name), ..build };
         let name = spec.name.clone();
         GridStream::new(name, move || spec.build(&cell_build))
-    }
-
-    /// Grid stream wrapping a stream-id'd replayable [`StreamSource`]
-    /// (the serving
-    /// layer's stream recipe type): the source id becomes the grid name and
-    /// every cell opens a fresh, identical copy.
-    pub fn from_source(source: StreamSource) -> Self {
-        GridStream { name: source.id().to_string(), builder: Box::new(move || source.open()) }
     }
 
     /// Builds a fresh copy of the stream.
@@ -407,61 +400,105 @@ pub fn derive_seed(base: u64, name: &str) -> u64 {
     rbm_im_streams::source::derive_stream_seed(base, name)
 }
 
-/// Runs every detector × stream cell of the grid in parallel (rayon) against
-/// the default registry. Results come back in row-major order (stream-major,
-/// detector-minor) and are byte-identical whatever the worker thread count,
-/// because each cell builds its own deterministically seeded stream and
-/// detector.
+/// The grid's default worker count: every core the process may use.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Runs every detector × stream cell of the grid against the default
+/// registry on [`available_threads`] workers. Results come back in
+/// row-major order (stream-major, detector-minor) and are byte-identical
+/// whatever the worker count.
 pub fn run_grid(
     detectors: &[DetectorSpec],
     streams: &[GridStream],
     config: &RunConfig,
 ) -> Result<Vec<RunResult>, PipelineError> {
-    run_grid_with(DetectorRegistry::global(), detectors, streams, config)
+    let registry = DetectorRegistry::global();
+    run_grid_observed(registry, detectors, streams, config, available_threads(), |_| {})
 }
 
-/// [`run_grid`] against an explicit registry.
-pub fn run_grid_with(
-    registry: &DetectorRegistry,
-    detectors: &[DetectorSpec],
-    streams: &[GridStream],
-    config: &RunConfig,
-) -> Result<Vec<RunResult>, PipelineError> {
-    run_grid_observed(registry, detectors, streams, config, |_| {})
-}
-
-/// [`run_grid_with`] plus a streaming progress callback: `on_cell` fires on
-/// a worker thread as each cell *completes* (completion order, not grid
-/// order — long-running grids get live progress instead of silence). The
-/// returned `Vec` is still in deterministic row-major grid order.
+/// [`run_grid`] against an explicit registry on `threads` workers, plus a
+/// streaming progress callback: `on_cell` fires on a worker thread as each
+/// cell *completes* (completion order, not grid order — long-running grids
+/// get live progress instead of silence). The returned `Vec` is still in
+/// deterministic row-major grid order.
+///
+/// The unit of work is a row: one stream, built once, whose instances go
+/// in lockstep through one [`PipelineStepper`] per detector. `threads`
+/// scoped workers take rows, in order, from a shared counter. Each stepper
+/// sees exactly the instances [`PipelineBuilder::run`] would feed it on its
+/// own copy of the stream, so every cell is bitwise what a lone run gives.
+/// Every spec is checked against `registry` before any stream is built, so
+/// an unknown detector or parameter name fails without running anything.
 pub fn run_grid_observed(
     registry: &DetectorRegistry,
     detectors: &[DetectorSpec],
     streams: &[GridStream],
     config: &RunConfig,
+    threads: usize,
     on_cell: impl Fn(&RunResult) + Sync,
 ) -> Result<Vec<RunResult>, PipelineError> {
-    let cells: Vec<(usize, usize)> =
-        (0..streams.len()).flat_map(|s| (0..detectors.len()).map(move |d| (s, d))).collect();
-    let results: Vec<Result<RunResult, PipelineError>> = cells
-        .par_iter()
-        .map(|&(stream_index, detector_index)| {
-            let grid_stream = &streams[stream_index];
-            let spec = &detectors[detector_index];
-            let result = PipelineBuilder::new()
-                .registry(registry)
-                .boxed_stream(grid_stream.build())
-                .stream_label(grid_stream.name.clone())
-                .detector_spec(spec.clone())
-                .config(*config)
-                .run();
-            if let Ok(run) = &result {
-                on_cell(run);
-            }
+    for spec in detectors {
+        registry.check(spec)?;
+    }
+    let next_row = AtomicUsize::new(0);
+    let rows: Vec<OnceLock<Result<Vec<RunResult>, PipelineError>>> =
+        streams.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(streams.len()).max(1) {
+            scope.spawn(|| loop {
+                let row = next_row.fetch_add(1, Ordering::Relaxed);
+                let Some(stream) = streams.get(row) else { break };
+                let cells = run_row(registry, detectors, stream, config, &on_cell);
+                rows[row].set(cells).expect("each grid row runs once");
+            });
+        }
+    });
+    let mut results = Vec::with_capacity(streams.len() * detectors.len());
+    for row in rows {
+        results.extend(row.into_inner().expect("every grid row ran")?);
+    }
+    Ok(results)
+}
+
+/// One grid row: each instance goes, in detector order, through one
+/// stepper per spec — a clone for all but the last, which takes the
+/// instance itself — with `max_instances` and the final flush applied as
+/// [`PipelineBuilder::run`] applies them.
+fn run_row(
+    registry: &DetectorRegistry,
+    detectors: &[DetectorSpec],
+    grid_stream: &GridStream,
+    config: &RunConfig,
+    on_cell: &impl Fn(&RunResult),
+) -> Result<Vec<RunResult>, PipelineError> {
+    let mut stream = grid_stream.build();
+    let schema = stream.schema().clone();
+    let mut steppers = detectors
+        .iter()
+        .map(|spec| PipelineStepper::from_spec(registry, spec, &schema, *config))
+        .collect::<Result<Vec<_>, _>>()?;
+    let ignore = &mut |_: &PipelineEvent<'_>| {};
+    let limit = config.max_instances.unwrap_or(u64::MAX);
+    let mut taken = 0;
+    while taken < limit {
+        let Some((last, rest)) = steppers.split_last_mut() else { break };
+        let Some(instance) = stream.next_instance() else { break };
+        taken += 1;
+        for stepper in rest {
+            stepper.step(instance.clone(), ignore);
+        }
+        last.step(instance, ignore);
+    }
+    Ok(steppers
+        .into_iter()
+        .map(|stepper| {
+            let (result, _detector) = stepper.finish(grid_stream.name.clone(), ignore);
+            on_cell(&result);
             result
         })
-        .collect();
-    results.into_iter().collect()
+        .collect())
 }
 
 #[cfg(test)]

@@ -563,11 +563,26 @@ impl DetectorRegistry {
         num_features: usize,
         num_classes: usize,
     ) -> Result<Box<dyn DriftDetector + Send>, RegistryError> {
+        let (factory, params) = self.resolve(spec)?;
+        factory(&params, num_features, num_classes)
+    }
+
+    /// Checks what [`DetectorRegistry::build`] can check before a stream
+    /// schema is known: `spec` names a registered detector and passes only
+    /// parameter keys its factory accepts.
+    pub(crate) fn check(&self, spec: &DetectorSpec) -> Result<(), RegistryError> {
+        self.resolve(spec).map(|_| ())
+    }
+
+    fn resolve<'s>(
+        &'s self,
+        spec: &'s DetectorSpec,
+    ) -> Result<(&'s DetectorFactory, Params<'s>), RegistryError> {
         let entry = self.entries.get(&spec.key()).ok_or_else(|| {
             RegistryError::UnknownDetector { name: spec.name.clone(), known: self.names() }
         })?;
         let params = Params::checked(&spec.name, &spec.params, &entry.allowed_params)?;
-        (entry.factory)(&params, num_features, num_classes)
+        Ok((&entry.factory, params))
     }
 }
 

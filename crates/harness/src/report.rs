@@ -142,7 +142,7 @@ mod tests {
             run: RunConfig { metric_window: 400, max_instances: Some(1_500), ..Default::default() },
             benchmarks: vec!["RBF5".into(), "RandomTree5".into()],
         };
-        run_experiment1(&config, |_| {})
+        run_experiment1(&config, 2, |_| {})
     }
 
     #[test]

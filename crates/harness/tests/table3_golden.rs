@@ -39,7 +39,7 @@ fn table3_grid_matches_the_golden_digest() {
         run: RunConfig { max_instances: Some(2_000), ..Default::default() },
         ..defaults
     };
-    let result = run_experiment1(&config, |_| {});
+    let result = run_experiment1(&config, 2, |_| {});
     assert_eq!(result.benchmarks.len(), 24, "digest covers the full Table I set");
     assert_eq!(result.runs.len(), 24 * 6, "six paper detectors per benchmark");
 

@@ -6,7 +6,7 @@
 //! Run with: `cargo run -p rbm-im-harness --release --example detector_comparison`
 
 use rbm_im_harness::experiment1::{run_experiment1, BuildConfigSerde, Experiment1Config};
-use rbm_im_harness::pipeline::RunConfig;
+use rbm_im_harness::pipeline::{available_threads, RunConfig};
 use rbm_im_harness::report::{format_ranking, format_table3};
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         ..Default::default()
     };
     eprintln!("running 6 detectors x 6 benchmarks (this takes a minute or two)...\n");
-    let result = run_experiment1(&config, |r| {
+    let result = run_experiment1(&config, available_threads(), |r| {
         eprintln!("  {:<14} {:<10} pmAUC {:6.2}", r.stream, r.detector, r.pm_auc);
     });
     println!("{}", format_table3(&result, "pmAUC"));

@@ -64,7 +64,7 @@ fn experiment1_pipeline_produces_table_and_ranks() {
         run: RunConfig { metric_window: 400, max_instances: Some(2_000), ..Default::default() },
         benchmarks: vec!["RBF5".into(), "Hyperplane5".into(), "Poker".into()],
     };
-    let result = run_experiment1(&config, |_| {});
+    let result = run_experiment1(&config, 2, |_| {});
     assert_eq!(result.runs.len(), 9);
     let table = format_table3(&result, "pmAUC");
     assert!(table.contains("RBM-IM") && table.contains("Poker"));

@@ -1,10 +1,12 @@
 //! Acceptance tests of the unified Pipeline API: batched-detector
 //! equivalence across the whole registry, `DetectorSpec` serde round-trips,
-//! classifier pluggability, and thread-count-independent grid results.
+//! classifier pluggability, and worker-count-independent grid results.
 
 use rbm_im_classifiers::GaussianNaiveBayes;
 use rbm_im_detectors::{DriftDetector, Observation};
-use rbm_im_harness::pipeline::{run_grid, GridStream, PipelineBuilder, RunConfig, RunResult};
+use rbm_im_harness::pipeline::{
+    run_grid_observed, GridStream, PipelineBuilder, PipelineError, RunConfig, RunResult,
+};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
 use rbm_im_streams::generators::RandomRbfGenerator;
 use rbm_im_streams::scenarios::{scenario1, ScenarioConfig};
@@ -143,43 +145,71 @@ fn strip_timing_results(runs: &[RunResult]) -> Vec<RunResult> {
 }
 
 /// The acceptance criterion of the parallel grid: results are byte-identical
-/// whatever the rayon worker count, because every cell derives its own seed
-/// and builds its own stream.
+/// whatever the worker count — including more workers than rows — because
+/// every row builds its own deterministically seeded stream and detectors.
+/// A grid naming an unknown detector fails before it builds any stream.
 #[test]
 fn run_grid_is_deterministic_across_thread_counts() {
-    let detectors =
-        vec![DetectorSpec::new("fhddm"), DetectorSpec::new("adwin"), DetectorSpec::new("rbm-im")];
-    let make_streams = || -> Vec<GridStream> {
-        [11u64, 29]
-            .iter()
-            .map(|&seed| {
-                GridStream::new(format!("rbf-{seed}"), move || {
-                    Box::new(BoundedStream::new(RandomRbfGenerator::new(6, 3, 2, 0.0, seed), 2_000))
-                })
-            })
-            .collect()
-    };
-    let config = RunConfig { metric_window: 400, ..Default::default() };
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
-    let run_with_threads = |threads: usize| -> Vec<RunResult> {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-            .install(|| run_grid(&detectors, &make_streams(), &config).unwrap())
+    let builds = Arc::new(AtomicUsize::new(0));
+    let streams: Vec<GridStream> = [11u64, 29]
+        .iter()
+        .map(|&seed| {
+            let builds = Arc::clone(&builds);
+            GridStream::new(format!("rbf-{seed}"), move || {
+                builds.fetch_add(1, Ordering::Relaxed);
+                Box::new(BoundedStream::new(RandomRbfGenerator::new(6, 3, 2, 0.0, seed), 2_000))
+            })
+        })
+        .collect();
+    let config = RunConfig { metric_window: 400, ..Default::default() };
+    let cells = AtomicUsize::new(0);
+    let run = |detectors: &[DetectorSpec], threads: usize| {
+        let registry = DetectorRegistry::global();
+        run_grid_observed(registry, detectors, &streams, &config, threads, |_| {
+            cells.fetch_add(1, Ordering::Relaxed);
+        })
     };
-    let single = run_with_threads(1);
-    let four = run_with_threads(4);
-    let seven = run_with_threads(7);
+
+    let detectors =
+        [DetectorSpec::new("fhddm"), DetectorSpec::new("adwin"), DetectorSpec::new("rbm-im")];
+    let single = run(&detectors, 1).unwrap();
+    let two = run(&detectors, 2).unwrap();
+    let seven = run(&detectors, 7).unwrap();
 
     assert_eq!(single.len(), 6);
+    let order: Vec<(&str, &str)> =
+        single.iter().map(|r| (r.stream.as_str(), r.detector.as_str())).collect();
+    assert_eq!(
+        order,
+        [
+            ("rbf-11", "fhddm"),
+            ("rbf-11", "adwin"),
+            ("rbf-11", "rbm-im"),
+            ("rbf-29", "fhddm"),
+            ("rbf-29", "adwin"),
+            ("rbf-29", "rbm-im"),
+        ],
+        "row-major grid order"
+    );
     // Wall-clock timing aside, every field — including the serialized JSON
     // artifact — must be byte-identical across worker counts.
-    assert_eq!(strip_timing_results(&single), strip_timing_results(&four));
+    assert_eq!(strip_timing_results(&single), strip_timing_results(&two));
     assert_eq!(strip_timing_results(&single), strip_timing_results(&seven));
     let json_single = serde_json::to_string(&strip_timing_results(&single)).unwrap();
-    let json_four = serde_json::to_string(&strip_timing_results(&four)).unwrap();
-    assert_eq!(json_single, json_four);
+    let json_two = serde_json::to_string(&strip_timing_results(&two)).unwrap();
+    assert_eq!(json_single, json_two);
+    // One stream build per row per run, and one callback per cell.
+    assert_eq!(builds.load(Ordering::Relaxed), 3 * 2);
+    assert_eq!(cells.load(Ordering::Relaxed), 3 * 6);
+
+    let with_unknown = [DetectorSpec::new("fhddm"), DetectorSpec::new("nope")];
+    let err = run(&with_unknown, 2).unwrap_err();
+    assert!(matches!(err, PipelineError::Registry(_)), "{err}");
+    assert_eq!(builds.load(Ordering::Relaxed), 3 * 2, "no stream built");
+    assert_eq!(cells.load(Ordering::Relaxed), 3 * 6, "no cell ran");
 }
 
 /// A detector registered from *outside* the harness crate drives the full
