@@ -226,11 +226,11 @@ impl RbmIm {
 
         let warmed_up = self.batch_counter > self.config.warmup_batches;
         if warmed_up {
-            // Score through the immutable `_with` surface against the
-            // network's own (temporarily detached) scratch workspace.
-            let mut ws = self.network.take_workspace();
-            self.network.reconstruction_errors_flat_with(&mut ws, &features, &classes, &mut errors);
-            self.network.adopt_workspace(ws);
+            // Score, then train, in one pass: the errors come from the
+            // network as it was before this batch, so the decision is made
+            // against the old concept representation (test-then-train at
+            // the batch level).
+            self.network.score_and_train_flat(&features, &classes, &mut errors);
             for (class, error) in errors.iter().enumerate() {
                 let Some(error) = error else { continue };
                 let drifted = self.update_class(class, *error);
@@ -238,11 +238,9 @@ impl RbmIm {
                     self.drifted.push(class);
                 }
             }
+        } else {
+            self.network.train_flat(&features, &classes);
         }
-
-        // Train after detection so the decision is made against the old
-        // concept representation (test-then-train at the batch level).
-        self.network.train_flat(&features, &classes);
 
         self.batch_features = features;
         self.batch_features.clear();

@@ -285,15 +285,28 @@ impl RbmNetwork {
         normalize_value(self.feature_min[i], self.feature_max[i], x)
     }
 
-    fn observe_ranges(&mut self, features: &[f64]) {
-        // Branch-free min/max so the loop vectorizes (equivalent to the
-        // reference's comparisons for all non-NaN inputs).
-        for ((&x, lo), hi) in
-            features.iter().zip(self.feature_min.iter_mut()).zip(self.feature_max.iter_mut())
-        {
-            *lo = lo.min(x);
-            *hi = hi.max(x);
+    /// Widens the normalization ranges and counts the classes of a batch
+    /// about to be learned. Returns whether any min/max bit pattern moved,
+    /// i.e. whether the batch now normalizes differently than before.
+    fn observe_batch(&mut self, features: &[f64], classes: &[usize]) -> bool {
+        let mut moved = 0u64;
+        for (n, &class) in classes.iter().enumerate() {
+            let row = &features[n * self.num_visible..(n + 1) * self.num_visible];
+            // Branch-free min/max so the loop vectorizes (equivalent to the
+            // reference's comparisons for all non-NaN inputs).
+            for ((&x, lo), hi) in
+                row.iter().zip(self.feature_min.iter_mut()).zip(self.feature_max.iter_mut())
+            {
+                let (new_lo, new_hi) = (lo.min(x), hi.max(x));
+                moved |= (new_lo.to_bits() ^ lo.to_bits()) | (new_hi.to_bits() ^ hi.to_bits());
+                *lo = new_lo;
+                *hi = new_hi;
+            }
+            if class < self.num_classes {
+                self.class_counts[class] += 1;
+            }
         }
+        moved != 0
     }
 
     /// Hidden activation probabilities given visible values and a class
@@ -506,6 +519,20 @@ impl RbmNetwork {
         classes: &[usize],
         out: &mut Vec<Option<f64>>,
     ) {
+        self.score_in(ws, features, classes, out);
+    }
+
+    /// Scores a flat batch into `out` (see
+    /// [`RbmNetwork::reconstruction_errors_flat_with`]), leaving the packed
+    /// `v0`/`z0`, the transposes and `h0` in `ws`. Returns the number of
+    /// packed rows.
+    fn score_in(
+        &self,
+        ws: &mut Workspace,
+        features: &[f64],
+        classes: &[usize],
+        out: &mut Vec<Option<f64>>,
+    ) -> usize {
         let kept = self.pack_batch_in(ws, features, classes);
         self.refresh_transposes_in(ws);
         self.reconstruct_packed_in(ws, kept);
@@ -527,6 +554,37 @@ impl RbmNetwork {
                 Some(s / c as f64)
             }
         }));
+        kept
+    }
+
+    /// Scores a flat batch against the current network, then trains on it:
+    /// `out` receives exactly what
+    /// [`RbmNetwork::reconstruction_errors_flat_with`] would report, and the
+    /// model (weights, momenta, biases, counts, ranges, RNG) ends exactly
+    /// where [`RbmNetwork::train_flat`] would leave it — bit for bit. It is
+    /// the detector's test-then-train step in one pass: training reuses the
+    /// scoring pass's packed `v0`/`z0`, transposes and positive-phase `h0`,
+    /// and skips `train_flat`'s diagnostic error sum. When the batch widens
+    /// a normalization range, `v0` is re-packed and `h0` recomputed; the
+    /// transposes stay valid because the weights have not changed yet.
+    /// Allocation-free once the workspace and `out` have grown to shape.
+    pub fn score_and_train_flat(
+        &mut self,
+        features: &[f64],
+        classes: &[usize],
+        out: &mut Vec<Option<f64>>,
+    ) {
+        let mut workspace = std::mem::take(&mut self.workspace);
+        let ws = &mut workspace;
+        let kept = self.score_in(ws, features, classes, out);
+        if !classes.is_empty() {
+            if self.observe_batch(features, classes) {
+                self.pack_batch_in(ws, features, classes);
+                self.positive_phase_in(ws, kept);
+            }
+            self.train_packed_in(ws, kept, classes.len());
+        }
+        self.workspace = workspace;
     }
 
     /// Refreshes the cached transposes `wᵀ` / `uᵀ` from the current weights
@@ -536,6 +594,18 @@ impl RbmNetwork {
         transpose_into(&mut ws.ut, &self.u);
     }
 
+    /// The positive phase over the packed batch (feature-major):
+    /// `h0 = σ(b ⊕ wᵀ·v0 + u·z0)`, one fused GEMM pair with the batch as the
+    /// contiguous inner dimension. Shared by scoring and training, so both
+    /// compute the same `h0` bits.
+    fn positive_phase_in(&self, ws: &mut Workspace, kept: usize) {
+        let timing = self.config.kernel_timing;
+        ws.h0.reshape_uninit(self.num_hidden, kept);
+        ws.h0.broadcast_cols(&self.b);
+        timed(timing, Kernel::Gemm2, || gemm2_acc(&mut ws.h0, &ws.wt, &ws.v0, &self.u, &ws.z0));
+        timed(timing, Kernel::Sigmoid, || sigmoid_in_place(ws.h0.as_mut_slice()));
+    }
+
     /// One deterministic mean-field reconstruction of the packed batch
     /// (feature-major: every matrix is layer units × batch, so the batch is
     /// the contiguous SIMD dimension): `h0 = σ(b ⊕ wᵀ·v0 + u·z0)`, then
@@ -543,10 +613,7 @@ impl RbmNetwork {
     /// `pack_batch_in` and `refresh_transposes_in` to have run on `ws`.
     fn reconstruct_packed_in(&self, ws: &mut Workspace, kept: usize) {
         let timing = self.config.kernel_timing;
-        ws.h0.reshape_uninit(self.num_hidden, kept);
-        ws.h0.broadcast_cols(&self.b);
-        timed(timing, Kernel::Gemm2, || gemm2_acc(&mut ws.h0, &ws.wt, &ws.v0, &self.u, &ws.z0));
-        timed(timing, Kernel::Sigmoid, || sigmoid_in_place(ws.h0.as_mut_slice()));
+        self.positive_phase_in(ws, kept);
 
         ws.vk.reshape_uninit(self.num_visible, kept);
         ws.vk.broadcast_cols(&self.a);
@@ -590,19 +657,7 @@ impl RbmNetwork {
         );
         // Update normalization ranges and class counts first so the weights
         // reflect the batch about to be learned.
-        for (n, &class) in classes.iter().enumerate() {
-            self.observe_ranges(&features[n * self.num_visible..(n + 1) * self.num_visible]);
-            if class < self.num_classes {
-                self.class_counts[class] += 1;
-            }
-        }
-
-        let lr = self.config.learning_rate / n_total as f64;
-        let momentum = self.config.momentum;
-        let decay = self.config.weight_decay;
-        let gibbs_steps = self.config.gibbs_steps;
-        let (num_visible, num_hidden, num_classes) =
-            (self.num_visible, self.num_hidden, self.num_classes);
+        self.observe_batch(features, classes);
 
         // The scratch workspace is moved out for the duration of the batch
         // (and moved back below) so the batched kernels can borrow it
@@ -610,9 +665,35 @@ impl RbmNetwork {
         // lets the scoring paths run on caller-owned workspaces.
         let mut workspace = std::mem::take(&mut self.workspace);
         let ws = &mut workspace;
-
         let kept = self.pack_batch_in(ws, features, classes);
         self.refresh_transposes_in(ws);
+        self.positive_phase_in(ws, kept);
+        self.train_packed_in(ws, kept, n_total);
+
+        // Diagnostic: the class-weighted error between the batch and its
+        // Gibbs-chain reconstruction (the parameter update leaves `vk`/`zk`
+        // untouched).
+        let mut total_error = 0.0;
+        for n in 0..kept {
+            total_error += ws.instance_weights[n] * self.packed_column_error_in(ws, n).sqrt();
+        }
+        self.workspace = workspace;
+        total_error / n_total as f64
+    }
+
+    /// CD-k on a packed batch whose ranges and class counts are already
+    /// observed and whose `v0`, `z0`, transposes and positive-phase `h0`
+    /// are current in `ws`: samples, runs the Gibbs chain, accumulates the
+    /// class-weighted gradients and applies them. `n_total` is the batch
+    /// size including invalid-label rows (it scales the learning rate).
+    fn train_packed_in(&mut self, ws: &mut Workspace, kept: usize, n_total: usize) {
+        let lr = self.config.learning_rate / n_total as f64;
+        let momentum = self.config.momentum;
+        let decay = self.config.weight_decay;
+        let gibbs_steps = self.config.gibbs_steps;
+        let timing = self.config.kernel_timing;
+        let (num_visible, num_hidden, num_classes) =
+            (self.num_visible, self.num_hidden, self.num_classes);
 
         // Per-class loss weights, once per batch (the class counts are fixed
         // for the duration of the batch, so per-instance recomputation — as
@@ -633,15 +714,6 @@ impl RbmNetwork {
                 }
             }
         }
-
-        // Positive phase over the whole batch (feature-major):
-        // h0 = σ(b ⊕ wᵀ·v0 + u·z0), one fused GEMM pair with the batch as
-        // the contiguous inner dimension.
-        let timing = self.config.kernel_timing;
-        ws.h0.reshape_uninit(num_hidden, kept);
-        ws.h0.broadcast_cols(&self.b);
-        timed(timing, Kernel::Gemm2, || gemm2_acc(&mut ws.h0, &ws.wt, &ws.v0, &self.u, &ws.z0));
-        timed(timing, Kernel::Sigmoid, || sigmoid_in_place(ws.h0.as_mut_slice()));
 
         // First hidden sample (instance-major draws walk the columns).
         ws.hs.reshape_uninit(num_hidden, kept);
@@ -711,21 +783,6 @@ impl RbmNetwork {
         timed(timing, Kernel::CdkBiasGrad, || {
             cdk_bias_gradient(&mut ws.dc, weights, &ws.z0, &ws.zk)
         });
-        let mut total_error = 0.0;
-        for n in 0..kept {
-            let weight = ws.instance_weights[n];
-            let mut err = 0.0;
-            for i in 0..num_visible {
-                let d = ws.v0.get(i, n) - ws.vk.get(i, n);
-                err += d * d;
-            }
-            for k in 0..num_classes {
-                let d = ws.z0.get(k, n) - ws.zk.get(k, n);
-                err += d * d;
-            }
-            total_error += weight * err.sqrt();
-        }
-
         // Apply updates with momentum and weight decay (fused flat kernels).
         momentum_update(
             self.w.as_mut_slice(),
@@ -746,9 +803,7 @@ impl RbmNetwork {
         axpy(&mut self.a, lr, &ws.da);
         axpy(&mut self.b, lr, &ws.db);
         axpy(&mut self.c, lr, &ws.dc);
-        self.workspace = workspace;
         self.batches_trained += 1;
-        total_error / n_total as f64
     }
 
     /// Installs `ws` as the network's internal scratch workspace, returning
@@ -1253,8 +1308,87 @@ mod tests {
         assert!(wrong.restore_state(&serde_json::parse_value(&json).unwrap()).is_err());
     }
 
+    /// Serializes the tests that switch the process-global obs flag: the
+    /// kernel-timing test counts exact histogram observations, so no other
+    /// timed kernel may run while it measures.
+    static OBS_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The fused step is bit for bit the scoring call followed by the
+    /// training call: the errors, and afterwards every parameter, momentum,
+    /// count, range and the RNG state. The batches widen the ranges on
+    /// some rounds and not on others (so both the reuse and the re-pack
+    /// branch run), carry invalid labels, and run with kernel timing on.
+    #[test]
+    fn score_and_train_matches_scoring_then_training() {
+        let _flag = OBS_FLAG.lock().unwrap_or_else(|e| e.into_inner());
+        rbm_im_obs::force_enabled(true);
+        for gibbs_steps in [1, 2] {
+            let config =
+                RbmNetworkConfig { gibbs_steps, kernel_timing: true, ..Default::default() };
+            let mut fused = RbmNetwork::new(6, 3, config);
+            let mut split = RbmNetwork::new(6, 3, config);
+            let mut stream = GaussianMixtureGenerator::balanced(6, 3, 1, 71);
+            let mut ws = Workspace::default();
+            let (mut fused_errors, mut split_errors) = (Vec::new(), Vec::new());
+            let (mut moved, mut kept_ranges) = (0, 0);
+            for round in 0..60 {
+                let mut instances = stream.take_instances(30);
+                if round % 7 == 3 {
+                    instances[4].features[round % 6] *= 4.0 + round as f64;
+                }
+                let (features, mut classes) = flatten(&instances);
+                if round % 3 == 0 {
+                    classes[1] = 3;
+                    classes[17] = usize::MAX;
+                }
+                let ranges = (bits(&fused.feature_min), bits(&fused.feature_max));
+                fused.score_and_train_flat(&features, &classes, &mut fused_errors);
+                if ranges == (bits(&fused.feature_min), bits(&fused.feature_max)) {
+                    kept_ranges += 1;
+                } else {
+                    moved += 1;
+                }
+                split.reconstruction_errors_flat_with(
+                    &mut ws,
+                    &features,
+                    &classes,
+                    &mut split_errors,
+                );
+                split.train_flat(&features, &classes);
+
+                let error_bits = |errors: &[Option<f64>]| -> Vec<Option<u64>> {
+                    errors.iter().map(|e| e.map(f64::to_bits)).collect()
+                };
+                assert_eq!(error_bits(&fused_errors), error_bits(&split_errors), "round {round}");
+                for (name, a, b) in [
+                    ("w", fused.w.as_slice(), split.w.as_slice()),
+                    ("u", fused.u.as_slice(), split.u.as_slice()),
+                    ("w_vel", fused.w_vel.as_slice(), split.w_vel.as_slice()),
+                    ("u_vel", fused.u_vel.as_slice(), split.u_vel.as_slice()),
+                    ("a", &fused.a, &split.a),
+                    ("b", &fused.b, &split.b),
+                    ("c", &fused.c, &split.c),
+                    ("feature_min", &fused.feature_min, &split.feature_min),
+                    ("feature_max", &fused.feature_max, &split.feature_max),
+                ] {
+                    assert_eq!(bits(a), bits(b), "{name} diverged at round {round}");
+                }
+                assert_eq!(fused.class_counts, split.class_counts);
+                assert_eq!(fused.rng.state(), split.rng.state(), "RNG diverged at round {round}");
+                assert_eq!(fused.batches_trained, split.batches_trained);
+            }
+            assert!(moved > 0 && kept_ranges > 0, "moved {moved}, kept {kept_ranges}");
+        }
+        rbm_im_obs::force_enabled(false);
+    }
+
     #[test]
     fn kernel_timing_records_without_perturbing_results() {
+        let _flag = OBS_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         let mut stream = GaussianMixtureGenerator::balanced(7, 3, 1, 13);
         let batches: Vec<_> = (0..4).map(|_| flatten(&stream.take_instances(40))).collect();
         let mut plain = RbmNetwork::new(7, 3, RbmNetworkConfig::default());

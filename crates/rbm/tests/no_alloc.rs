@@ -1,7 +1,8 @@
 //! Enforces the workspace contract: once the [`Workspace`] buffers have
 //! grown to the working shape, steady-state `train_flat` /
-//! `reconstruction_errors_flat_with` calls perform **zero** heap
-//! allocations — with kernel timing off *and* on. A counting global
+//! `reconstruction_errors_flat_with` calls, and the fused
+//! `score_and_train_flat` step, perform **zero** heap allocations — with
+//! kernel timing off *and* on. A counting global
 //! allocator measures the hot path directly; this file holds a single test
 //! so no concurrent test can pollute the counter.
 //!
@@ -114,6 +115,29 @@ fn measure_steady_state(config: RbmNetworkConfig, label: &str) {
         after - before
     );
     assert_eq!(net.batches_trained(), 10);
+    assert_eq!(errors.len(), CLASSES);
+
+    // The fused step scores into the network's own workspace, whose
+    // per-class error buffers grow on its first call.
+    fill_batch(&mut features, &mut classes, CLASSES, 10);
+    net.score_and_train_flat(&features, &classes, &mut errors);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    COUNTING.with(|flag| flag.set(true));
+    for round in 11..18 {
+        fill_batch(&mut features, &mut classes, CLASSES, round);
+        net.score_and_train_flat(&features, &classes, &mut errors);
+    }
+    COUNTING.with(|flag| flag.set(false));
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "{label}: the fused score-and-train step must not touch the allocator \
+         ({} allocations observed)",
+        after - before
+    );
+    assert_eq!(net.batches_trained(), 18);
     assert_eq!(errors.len(), CLASSES);
 }
 
