@@ -57,6 +57,11 @@ impl Default for CsptConfig {
     }
 }
 
+/// A leaf predicts with its naive Bayes model until it has learned this
+/// many instances, and with its perceptron afterwards. The naive Bayes
+/// model learns only during that window: nothing reads it later.
+const COLD_LEAF_INSTANCES: u64 = 30;
+
 /// Per-class Gaussian summary of one feature at a leaf.
 #[derive(Debug, Clone, Default)]
 struct AttributeObserver {
@@ -90,13 +95,21 @@ impl AttributeObserver {
         }
     }
 
+    /// `std()·√2`, the scale of this class's Gaussian in
+    /// [`AttributeObserver::fraction_below`]. A split attempt computes it
+    /// once per feature and class, not once per candidate threshold.
+    fn erf_scale(&self) -> f64 {
+        self.std() * std::f64::consts::SQRT_2
+    }
+
     /// Probability mass of this class's Gaussian falling below `threshold`
-    /// (used to estimate the class distribution in each split branch).
-    fn fraction_below(&self, threshold: f64) -> f64 {
+    /// (used to estimate the class distribution in each split branch);
+    /// `scale` is [`AttributeObserver::erf_scale`].
+    fn fraction_below(&self, threshold: f64, scale: f64) -> f64 {
         if self.count == 0 {
             return 0.5;
         }
-        let z = (threshold - self.mean) / (self.std() * std::f64::consts::SQRT_2);
+        let z = (threshold - self.mean) / scale;
         0.5 * (1.0 + erf_approx(z))
     }
 }
@@ -163,17 +176,27 @@ impl Leaf {
     }
 
     /// Information gain of splitting at `threshold` on `feature`, estimated
-    /// from the per-class Gaussian observers.
-    fn split_gain(&self, feature: usize, threshold: f64) -> f64 {
-        let num_classes = self.class_counts.len();
-        let mut left = vec![0u64; num_classes];
-        let mut right = vec![0u64; num_classes];
-        for c in 0..num_classes {
-            let n = self.class_counts[c];
+    /// from the per-class Gaussian observers. `parent` is the entropy of
+    /// the leaf's class counts and `scales[c]` class `c`'s
+    /// [`AttributeObserver::erf_scale`] on `feature`; both are fixed for a
+    /// whole split attempt, so [`Leaf::best_split`] computes them once.
+    /// `left` / `right` are per-class scratch of the class count's length.
+    fn split_gain(
+        &self,
+        feature: usize,
+        threshold: f64,
+        parent: f64,
+        scales: &[f64],
+        left: &mut [u64],
+        right: &mut [u64],
+    ) -> f64 {
+        for (c, &n) in self.class_counts.iter().enumerate() {
             if n == 0 {
+                left[c] = 0;
+                right[c] = 0;
                 continue;
             }
-            let frac = self.observers[c][feature].fraction_below(threshold);
+            let frac = self.observers[c][feature].fraction_below(threshold, scales[c]);
             let l = (frac * n as f64).round() as u64;
             left[c] = l.min(n);
             right[c] = n - left[c];
@@ -184,15 +207,21 @@ impl Leaf {
         if total == 0 || n_left == 0 || n_right == 0 {
             return 0.0;
         }
-        let parent = Self::entropy(&self.class_counts);
-        let child = (n_left as f64 / total as f64) * Self::entropy(&left)
-            + (n_right as f64 / total as f64) * Self::entropy(&right);
+        let child = (n_left as f64 / total as f64) * Self::entropy(left)
+            + (n_right as f64 / total as f64) * Self::entropy(right);
         parent - child
     }
 
-    /// Best `(feature, threshold, gain)` plus the runner-up gain.
+    /// Best `(feature, threshold, gain)` plus the runner-up gain. One
+    /// attempt scores `candidate_thresholds` thresholds on every feature;
+    /// its per-class scratch is allocated once per attempt.
     fn best_split(&self, config: &CsptConfig) -> Option<(usize, f64, f64, f64)> {
+        let num_classes = self.class_counts.len();
         let num_features = self.observers[0].len();
+        let parent = Self::entropy(&self.class_counts);
+        let mut scales = vec![0.0; num_classes];
+        let mut left = vec![0u64; num_classes];
+        let mut right = vec![0u64; num_classes];
         let mut best: Option<(usize, f64, f64)> = None;
         let mut second_gain = 0.0;
         for feature in 0..num_features {
@@ -207,10 +236,14 @@ impl Leaf {
             if !lo.is_finite() || !hi.is_finite() || hi - lo < 1e-9 {
                 continue;
             }
+            for (scale, observers) in scales.iter_mut().zip(&self.observers) {
+                *scale = observers[feature].erf_scale();
+            }
             for k in 1..=config.candidate_thresholds {
                 let threshold =
                     lo + (hi - lo) * k as f64 / (config.candidate_thresholds + 1) as f64;
-                let gain = self.split_gain(feature, threshold);
+                let gain =
+                    self.split_gain(feature, threshold, parent, &scales, &mut left, &mut right);
                 match best {
                     Some((_, _, g)) if gain <= g => {
                         if gain > second_gain {
@@ -318,7 +351,15 @@ fn leaf_from_value(
         );
     }
     leaf.observers = observers;
-    leaf.class_counts = value.field("class_counts")?;
+    let class_counts: Vec<u64> = value.field("class_counts")?;
+    if class_counts.len() != num_classes {
+        // Split scoring indexes the observers by class-count position.
+        return Err(serde::Error::msg(format!(
+            "leaf `class_counts` has {} classes, expected {num_classes}",
+            class_counts.len()
+        )));
+    }
+    leaf.class_counts = class_counts;
     leaf.seen = value.field("seen")?;
     leaf.seen_since_split_attempt = value.field("seen_since_split_attempt")?;
     Ok(leaf)
@@ -372,6 +413,9 @@ pub struct CostSensitivePerceptronTree {
     instances_seen: u64,
     n_splits: u64,
     n_resets: u64,
+    /// Class-score scratch of the leaf perceptrons' `learn`, shared by the
+    /// whole tree so no leaf carries a buffer of its own.
+    scores: Vec<f64>,
 }
 
 impl CostSensitivePerceptronTree {
@@ -392,6 +436,7 @@ impl CostSensitivePerceptronTree {
             instances_seen: 0,
             n_splits: 0,
             n_resets: 0,
+            scores: Vec::with_capacity(num_classes),
         }
     }
 
@@ -441,15 +486,26 @@ impl CostSensitivePerceptronTree {
         num_classes: usize,
         config: &CsptConfig,
         n_splits: &mut u64,
+        scores: &mut Vec<f64>,
     ) {
         match node {
             Node::Split { feature, threshold, left, right } => {
                 let child = if instance.features[*feature] <= *threshold { left } else { right };
-                Self::learn_recursive(child, instance, num_features, num_classes, config, n_splits);
+                Self::learn_recursive(
+                    child,
+                    instance,
+                    num_features,
+                    num_classes,
+                    config,
+                    n_splits,
+                    scores,
+                );
             }
             Node::Leaf(leaf) => {
-                leaf.perceptron.learn(instance);
-                leaf.naive_bayes.learn(instance);
+                leaf.perceptron.learn_with(instance, scores);
+                if leaf.seen < COLD_LEAF_INSTANCES {
+                    leaf.naive_bayes.learn(instance);
+                }
                 leaf.class_counts[instance.class] += 1;
                 for (f, obs) in
                     instance.features.iter().zip(leaf.observers[instance.class].iter_mut())
@@ -518,7 +574,7 @@ impl OnlineClassifier for CostSensitivePerceptronTree {
         let leaf = Self::find_leaf(&self.root, features);
         // Cold leaves (right after a split or a reset) fall back to their
         // naive Bayes model, which is usable from the first instance.
-        if leaf.seen < 30 {
+        if leaf.seen < COLD_LEAF_INSTANCES {
             leaf.naive_bayes.predict_scores_into(features, out)
         } else {
             leaf.perceptron.predict_scores_into(features, out)
@@ -537,6 +593,7 @@ impl OnlineClassifier for CostSensitivePerceptronTree {
             self.num_classes,
             &config,
             &mut self.n_splits,
+            &mut self.scores,
         );
     }
 
@@ -584,6 +641,7 @@ impl OnlineClassifier for CostSensitivePerceptronTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::argmax;
     use rbm_im_streams::generators::{GaussianMixtureGenerator, RandomRbfGenerator};
     use rbm_im_streams::imbalance::{ImbalanceProfile, ImbalancedStream};
     use rbm_im_streams::StreamExt;
@@ -714,5 +772,141 @@ mod tests {
     #[should_panic]
     fn wrong_feature_count_rejected() {
         CostSensitivePerceptronTree::new(3, 2).predict_scores(&[1.0]);
+    }
+
+    #[test]
+    fn restore_rejects_leaf_class_counts_of_the_wrong_length() {
+        use serde::Serialize;
+        let mut tree = CostSensitivePerceptronTree::new(3, 2);
+        tree.learn(&Instance::new(vec![0.1, 0.2, 0.3], 1));
+        let state = tree.snapshot_state().unwrap();
+        let mut fresh = CostSensitivePerceptronTree::new(3, 2);
+        assert!(fresh.restore_state(&state).is_ok());
+        for counts in [vec![0u64, 1, 0], vec![1u64]] {
+            let bad =
+                crate::edited(&state, &["root", "leaf", "class_counts"], counts.serialize_value());
+            assert!(fresh.restore_state(&bad).is_err(), "{counts:?} accepted");
+        }
+    }
+
+    /// Every split node's `(feature, threshold)`, in pre-order.
+    fn splits(tree: &CostSensitivePerceptronTree) -> Vec<(usize, u64)> {
+        fn walk(node: &Node, out: &mut Vec<(usize, u64)>) {
+            if let Node::Split { feature, threshold, left, right } = node {
+                out.push((*feature, threshold.to_bits()));
+                walk(left, out);
+                walk(right, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(&tree.root, &mut out);
+        out
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A random stream with structure a tree can split on: each feature is
+    /// uniform at a random scale (1e-3 to 1e3), constant (the zero-variance
+    /// divisor path) or quantized to three levels (tied thresholds); the
+    /// class is mostly a skewed bucket of one uniform feature, otherwise
+    /// noise.
+    fn random_stream(
+        rng: &mut proptest::TestRng,
+        num_features: usize,
+        num_classes: usize,
+        length: usize,
+    ) -> Vec<Instance> {
+        let kinds: Vec<u64> = (0..num_features).map(|_| rng.below(3)).collect();
+        let scales: Vec<f64> =
+            (0..num_features).map(|_| 10f64.powi(rng.below(7) as i32 - 3)).collect();
+        let offsets: Vec<f64> = (0..num_features).map(|_| rng.unit_f64() * 4.0 - 2.0).collect();
+        let key = rng.below(num_features as u64) as usize;
+        (0..length)
+            .map(|_| {
+                let mut bucket = rng.below(num_classes as u64) as usize;
+                let features = (0..num_features)
+                    .map(|i| match kinds[i] {
+                        0 | 1 if i == key => {
+                            let u = rng.unit_f64();
+                            if rng.below(5) > 0 {
+                                bucket =
+                                    ((u * u * num_classes as f64) as usize).min(num_classes - 1);
+                            }
+                            u * scales[i] + offsets[i]
+                        }
+                        0 => rng.unit_f64() * scales[i] + offsets[i],
+                        1 => offsets[i],
+                        _ => rng.below(3) as f64 * scales[i],
+                    })
+                    .collect();
+                Instance::new(features, bucket)
+            })
+            .collect()
+    }
+
+    /// Snapshot → RBMC bytes → a freshly built tree.
+    fn rbmc_round_trip(tree: &CostSensitivePerceptronTree) -> CostSensitivePerceptronTree {
+        use rbm_im_harness::checkpoint::codec::{decode_value, encode_value};
+        let bytes = encode_value(&tree.snapshot_state().unwrap());
+        let mut resumed = CostSensitivePerceptronTree::with_config(
+            tree.num_features,
+            tree.num_classes,
+            tree.config,
+        );
+        resumed.restore_state(&decode_value(&bytes).unwrap()).unwrap();
+        resumed
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The tree against the retained original on random streams of 1–40
+        /// features and 2–10 classes with random grace periods, depths and
+        /// candidate counts, with resets and RBMC round trips mixed in:
+        /// identical score bits and predictions on every instance, and the
+        /// same splits (feature, threshold bits) and split count throughout.
+        #[test]
+        fn tree_matches_the_original_bitwise(
+            shape in (1usize..41, 2usize..11, 200usize..1500, 0u64..u64::MAX),
+            tree_shape in (10u64..80, 1usize..7, 1usize..11)
+        ) {
+            let (num_features, num_classes, length, seed) = shape;
+            let (grace_period, max_depth, candidate_thresholds) = tree_shape;
+            let mut rng = proptest::TestRng::seed(seed);
+            let config =
+                CsptConfig { grace_period, max_depth, candidate_thresholds, ..Default::default() };
+            let mut tree = CostSensitivePerceptronTree::with_config(num_features, num_classes, config);
+            let mut reference =
+                crate::reference::ReferenceTree::with_config(num_features, num_classes, config);
+            let (mut scores, mut reference_scores) = (Vec::new(), Vec::new());
+            for (n, instance) in random_stream(&mut rng, num_features, num_classes, length)
+                .iter()
+                .enumerate()
+            {
+                match rng.below(1000) {
+                    0..=1 => {
+                        tree.reset();
+                        reference.reset();
+                    }
+                    2..=5 => tree = rbmc_round_trip(&tree),
+                    _ => {}
+                }
+                tree.predict_scores_into(&instance.features, &mut scores);
+                reference.predict_scores_into(&instance.features, &mut reference_scores);
+                proptest::prop_assert_eq!(bits(&scores), bits(&reference_scores), "instance {}", n);
+                proptest::prop_assert_eq!(argmax(&scores), argmax(&reference_scores));
+                let before = tree.split_count();
+                tree.learn(instance);
+                reference.learn(instance);
+                proptest::prop_assert_eq!(tree.split_count(), reference.split_count());
+                if tree.split_count() != before {
+                    let expected: Vec<(usize, u64)> =
+                        reference.splits().iter().map(|&(f, t)| (f, t.to_bits())).collect();
+                    proptest::prop_assert_eq!(splits(&tree), expected, "instance {}", n);
+                }
+            }
+        }
     }
 }

@@ -23,6 +23,8 @@
 pub mod cspt;
 pub mod naive_bayes;
 pub mod perceptron;
+#[cfg(test)]
+mod reference;
 
 pub use cspt::CostSensitivePerceptronTree;
 pub use naive_bayes::GaussianNaiveBayes;
@@ -147,6 +149,21 @@ pub fn softmax_into(scores: &[f64], out: &mut Vec<f64>) {
 /// the RBM's class-layer reconstruction (Eq. 12) also runs on, so the
 /// classifiers and the RBM can never disagree numerically.
 pub use rbm_im::linalg::softmax_in_place;
+
+/// Returns a copy of a snapshot with the value at `path` (object keys,
+/// outermost first) replaced by `edit`'s result — for the tests that feed
+/// `restore_state` malformed state.
+#[cfg(test)]
+pub(crate) fn edited(state: &serde::Value, path: &[&str], edit: serde::Value) -> serde::Value {
+    let mut out = state.clone();
+    let mut node = &mut out;
+    for key in path {
+        let serde::Value::Object(fields) = node else { panic!("`{key}` is not inside an object") };
+        node = &mut fields.iter_mut().find(|(k, _)| k == key).expect("snapshot key").1;
+    }
+    *node = edit;
+    out
+}
 
 #[cfg(test)]
 mod tests {

@@ -179,9 +179,19 @@ impl OnlineClassifier for GaussianNaiveBayes {
             }
             stats.push(row);
         }
+        let class_counts: Vec<u64> = state.field("class_counts")?;
+        if class_counts.len() != self.num_classes {
+            // `predict_scores_into` indexes the counts by class.
+            return Err(serde::Error::msg(format!(
+                "naive bayes `class_counts` has {} classes, expected {}",
+                class_counts.len(),
+                self.num_classes
+            )));
+        }
+        let total = state.field("total")?;
         self.stats = stats;
-        self.class_counts = state.field("class_counts")?;
-        self.total = state.field("total")?;
+        self.class_counts = class_counts;
+        self.total = total;
         Ok(())
     }
 }
@@ -262,6 +272,20 @@ mod tests {
         let s = nb.predict_scores(&[1.0, 1.0]);
         assert!((s[0] - 0.5).abs() < 1e-12);
         assert_eq!(nb.total_seen(), 0);
+    }
+
+    #[test]
+    fn restore_rejects_wrong_length_class_counts() {
+        use serde::Serialize;
+        let mut nb = GaussianNaiveBayes::new(2, 3);
+        nb.learn(&Instance::new(vec![1.0, 2.0], 2));
+        let state = nb.snapshot_state().unwrap();
+        let mut fresh = GaussianNaiveBayes::new(2, 3);
+        assert!(fresh.restore_state(&state).is_ok());
+        for counts in [vec![0u64, 1], vec![0u64, 0, 1, 0]] {
+            let bad = crate::edited(&state, &["class_counts"], counts.serialize_value());
+            assert!(fresh.restore_state(&bad).is_err(), "{counts:?} accepted");
+        }
     }
 
     #[test]

@@ -27,7 +27,17 @@ pub struct CostSensitivePerceptron {
     /// (streams such as Agrawal mix features of wildly different scales).
     feature_means: Vec<f64>,
     feature_m2: Vec<f64>,
+    /// Per-feature standardization divisor derived from the statistics
+    /// above: `sqrt(var)`, or `1.0` where `var <= 1e-12` (dividing by 1.0
+    /// is exact, so a constant feature is only centred). Refreshed after
+    /// every `learn` and `restore_state`, so scoring divides without
+    /// recomputing a variance or a square root.
+    divisors: Vec<f64>,
 }
+
+/// Features standardized per stack block when scoring: the block lives on
+/// the stack, so scoring allocates nothing at any feature count.
+const STANDARDIZE_BLOCK: usize = 32;
 
 impl CostSensitivePerceptron {
     /// Creates an untrained perceptron.
@@ -45,6 +55,7 @@ impl CostSensitivePerceptron {
             total_seen: 0,
             feature_means: vec![0.0; num_features],
             feature_m2: vec![0.0; num_features],
+            divisors: vec![1.0; num_features],
         }
     }
 
@@ -60,22 +71,23 @@ impl CostSensitivePerceptron {
         cost.clamp(1.0, 100.0)
     }
 
-    fn standardize(&self, features: &[f64]) -> Vec<f64> {
-        features
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                if self.total_seen < 2 {
-                    return x;
-                }
-                let var = self.feature_m2[i] / (self.total_seen - 1) as f64;
-                if var <= 1e-12 {
-                    x - self.feature_means[i]
-                } else {
-                    (x - self.feature_means[i]) / var.sqrt()
-                }
-            })
-            .collect()
+    /// Standardizes `features[start..start + out.len()]` into `out` with
+    /// the running statistics (features pass through unchanged until two
+    /// instances have been seen).
+    fn standardize_block(&self, start: usize, features: &[f64], out: &mut [f64]) {
+        let end = start + out.len();
+        if self.total_seen < 2 {
+            out.copy_from_slice(&features[start..end]);
+            return;
+        }
+        for (((x, &f), &mean), &div) in out
+            .iter_mut()
+            .zip(&features[start..end])
+            .zip(&self.feature_means[start..end])
+            .zip(&self.divisors[start..end])
+        {
+            *x = (f - mean) / div;
+        }
     }
 
     fn update_feature_stats(&mut self, features: &[f64]) {
@@ -85,15 +97,74 @@ impl CostSensitivePerceptron {
             self.feature_means[i] += delta / self.total_seen as f64;
             self.feature_m2[i] += delta * (x - self.feature_means[i]);
         }
+        self.refresh_divisors();
     }
 
-    fn raw_score(&self, class: usize, standardized: &[f64]) -> f64 {
-        self.biases[class]
-            + self.weights[class].iter().zip(standardized.iter()).map(|(w, x)| w * x).sum::<f64>()
+    /// Re-derives [`CostSensitivePerceptron::divisors`] from the current
+    /// statistics.
+    fn refresh_divisors(&mut self) {
+        if self.total_seen < 2 {
+            return;
+        }
+        let n = (self.total_seen - 1) as f64;
+        for (div, &m2) in self.divisors.iter_mut().zip(&self.feature_m2) {
+            let var = m2 / n;
+            *div = if var <= 1e-12 { 1.0 } else { var.sqrt() };
+        }
     }
 
-    fn raw_scores(&self, standardized: &[f64]) -> Vec<f64> {
-        (0..self.num_classes).map(|c| self.raw_score(c, standardized)).collect()
+    /// Clears `out` and fills it with the linear score of every class,
+    /// `bias + Σᵢ wᵢ·xᵢ` over the standardized features. Each class sums
+    /// its products in feature order from `-0.0`, exactly as
+    /// `Iterator::sum` does, so the scores are bitwise those of a
+    /// standardize-then-dot implementation. No allocation once `out` holds
+    /// `num_classes` values.
+    fn raw_scores_into(&self, features: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.num_classes, -0.0);
+        let mut block = [0.0; STANDARDIZE_BLOCK];
+        for start in (0..self.num_features).step_by(STANDARDIZE_BLOCK) {
+            let x = &mut block[..STANDARDIZE_BLOCK.min(self.num_features - start)];
+            self.standardize_block(start, features, x);
+            for (acc, weights) in out.iter_mut().zip(&self.weights) {
+                for (w, xi) in weights[start..start + x.len()].iter().zip(x.iter()) {
+                    *acc += w * xi;
+                }
+            }
+        }
+        for (acc, bias) in out.iter_mut().zip(&self.biases) {
+            *acc += bias;
+        }
+    }
+
+    /// [`OnlineClassifier::learn`] with a caller-owned buffer for the class
+    /// scores, so a learner holding many perceptrons (the perceptron tree)
+    /// can share one buffer and learn without allocating.
+    pub(crate) fn learn_with(&mut self, instance: &Instance, scores: &mut Vec<f64>) {
+        assert_eq!(instance.features.len(), self.num_features, "feature count mismatch");
+        assert!(instance.class < self.num_classes, "class out of range");
+        self.update_feature_stats(&instance.features);
+        self.class_counts[instance.class] += 1;
+
+        self.raw_scores_into(&instance.features, scores);
+        let predicted = argmax(scores);
+        if predicted != instance.class {
+            let eta = self.learning_rate * self.class_cost(instance.class);
+            let mut block = [0.0; STANDARDIZE_BLOCK];
+            for start in (0..self.num_features).step_by(STANDARDIZE_BLOCK) {
+                let x = &mut block[..STANDARDIZE_BLOCK.min(self.num_features - start)];
+                self.standardize_block(start, &instance.features, x);
+                let end = start + x.len();
+                for (w, xi) in self.weights[instance.class][start..end].iter_mut().zip(x.iter()) {
+                    *w += eta * xi;
+                }
+                for (w, xi) in self.weights[predicted][start..end].iter_mut().zip(x.iter()) {
+                    *w -= eta * xi;
+                }
+            }
+            self.biases[instance.class] += eta;
+            self.biases[predicted] -= eta;
+        }
     }
 }
 
@@ -106,32 +177,12 @@ impl OnlineClassifier for CostSensitivePerceptron {
 
     fn predict_scores_into(&self, features: &[f64], out: &mut Vec<f64>) {
         assert_eq!(features.len(), self.num_features, "feature count mismatch");
-        let standardized = self.standardize(features);
-        out.clear();
-        out.extend((0..self.num_classes).map(|c| self.raw_score(c, &standardized)));
+        self.raw_scores_into(features, out);
         softmax_in_place(out);
     }
 
     fn learn(&mut self, instance: &Instance) {
-        assert_eq!(instance.features.len(), self.num_features, "feature count mismatch");
-        assert!(instance.class < self.num_classes, "class out of range");
-        self.update_feature_stats(&instance.features);
-        self.class_counts[instance.class] += 1;
-
-        let x = self.standardize(&instance.features);
-        let scores = self.raw_scores(&x);
-        let predicted = argmax(&scores);
-        if predicted != instance.class {
-            let eta = self.learning_rate * self.class_cost(instance.class);
-            for (w, xi) in self.weights[instance.class].iter_mut().zip(x.iter()) {
-                *w += eta * xi;
-            }
-            self.biases[instance.class] += eta;
-            for (w, xi) in self.weights[predicted].iter_mut().zip(x.iter()) {
-                *w -= eta * xi;
-            }
-            self.biases[predicted] -= eta;
-        }
+        self.learn_with(instance, &mut Vec::with_capacity(self.num_classes));
     }
 
     fn num_classes(&self) -> usize {
@@ -167,12 +218,38 @@ impl OnlineClassifier for CostSensitivePerceptron {
                 self.num_features, self.num_classes
             )));
         }
-        self.weights = state.field("weights")?;
-        self.biases = state.field("biases")?;
-        self.class_counts = state.field("class_counts")?;
-        self.total_seen = state.field("total_seen")?;
-        self.feature_means = state.field("feature_means")?;
-        self.feature_m2 = state.field("feature_m2")?;
+        let weights: Vec<Vec<f64>> = state.field("weights")?;
+        let biases: Vec<f64> = state.field("biases")?;
+        let class_counts: Vec<u64> = state.field("class_counts")?;
+        let feature_means: Vec<f64> = state.field("feature_means")?;
+        let feature_m2: Vec<f64> = state.field("feature_m2")?;
+        let total_seen: u64 = state.field("total_seen")?;
+        // A wrong-shaped snapshot must fail here: scoring would otherwise
+        // sum fewer terms silently (`zip` stops early) or index past a row.
+        if weights.len() != num_classes || weights.iter().any(|row| row.len() != num_features) {
+            return Err(serde::Error::msg(format!(
+                "perceptron `weights` must be {num_classes} rows of {num_features} values"
+            )));
+        }
+        for (name, len, want) in [
+            ("biases", biases.len(), num_classes),
+            ("class_counts", class_counts.len(), num_classes),
+            ("feature_means", feature_means.len(), num_features),
+            ("feature_m2", feature_m2.len(), num_features),
+        ] {
+            if len != want {
+                return Err(serde::Error::msg(format!(
+                    "perceptron `{name}` length mismatch: snapshot has {len}, expected {want}"
+                )));
+            }
+        }
+        self.weights = weights;
+        self.biases = biases;
+        self.class_counts = class_counts;
+        self.total_seen = total_seen;
+        self.feature_means = feature_means;
+        self.feature_m2 = feature_m2;
+        self.refresh_divisors();
         Ok(())
     }
 }
@@ -266,6 +343,120 @@ mod tests {
         let s = p.predict_scores(&[5.0, 1.0]);
         assert!((s[0] - 0.5).abs() < 1e-12, "reset model must be uninformative, got {s:?}");
         assert_eq!(p.num_classes(), 2);
+    }
+
+    /// The snapshot of a trained 3-feature, 2-class perceptron.
+    fn trained_state() -> serde::Value {
+        let mut p = CostSensitivePerceptron::new(3, 2, 0.1);
+        for i in 0..20 {
+            p.learn(&Instance::new(vec![i as f64, 1.0, -(i as f64)], i % 2));
+        }
+        p.snapshot_state().unwrap()
+    }
+
+    /// Restoring `trained_state()` with `field` replaced by each of `bad`
+    /// must fail (the unedited snapshot restores).
+    fn assert_rejected(field: &str, bad: Vec<serde::Value>) {
+        let state = trained_state();
+        let mut p = CostSensitivePerceptron::new(3, 2, 0.1);
+        assert!(p.restore_state(&state).is_ok());
+        for value in bad {
+            let edited = crate::edited(&state, &[field], value.clone());
+            assert!(p.restore_state(&edited).is_err(), "`{field}` = {value:?} accepted");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_wrong_shaped_weights() {
+        use serde::Serialize;
+        assert_rejected(
+            "weights",
+            vec![
+                vec![vec![0.0; 3]; 3].serialize_value(),
+                vec![vec![0.0; 3], vec![0.0; 2]].serialize_value(),
+            ],
+        );
+    }
+
+    #[test]
+    fn restore_rejects_wrong_length_biases() {
+        use serde::Serialize;
+        assert_rejected(
+            "biases",
+            vec![vec![0.0].serialize_value(), vec![0.0; 3].serialize_value()],
+        );
+    }
+
+    #[test]
+    fn restore_rejects_wrong_length_class_counts() {
+        use serde::Serialize;
+        assert_rejected("class_counts", vec![vec![5u64].serialize_value()]);
+    }
+
+    #[test]
+    fn restore_rejects_wrong_length_feature_means() {
+        use serde::Serialize;
+        assert_rejected("feature_means", vec![vec![0.0; 2].serialize_value()]);
+    }
+
+    #[test]
+    fn restore_rejects_wrong_length_feature_m2() {
+        use serde::Serialize;
+        assert_rejected("feature_m2", vec![vec![0.0; 4].serialize_value()]);
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The perceptron against the retained original on random streams
+        /// of 1–70 features (so scoring crosses its stack-block boundary)
+        /// at random scales, including constant features, with resets and
+        /// RBMC round trips mixed in: identical score bits and predictions
+        /// before every `learn`.
+        #[test]
+        fn perceptron_matches_the_original_bitwise(
+            shape in (1usize..71, 2usize..9, 50usize..600, 0u64..u64::MAX)
+        ) {
+            use rbm_im_harness::checkpoint::codec::{decode_value, encode_value};
+            let (num_features, num_classes, length, seed) = shape;
+            let mut rng = proptest::TestRng::seed(seed);
+            let scales: Vec<f64> = (0..num_features)
+                .map(|_| if rng.below(4) == 0 { 0.0 } else { 10f64.powi(rng.below(7) as i32 - 3) })
+                .collect();
+            let mut p = CostSensitivePerceptron::new(num_features, num_classes, 0.05);
+            let mut reference = crate::reference::ReferencePerceptron::new(num_features, num_classes, 0.05);
+            let (mut scores, mut reference_scores) = (Vec::new(), Vec::new());
+            for n in 0..length {
+                match rng.below(200) {
+                    0 => {
+                        p.reset();
+                        reference = crate::reference::ReferencePerceptron::new(num_features, num_classes, 0.05);
+                    }
+                    1..=2 => {
+                        let bytes = encode_value(&p.snapshot_state().unwrap());
+                        p = CostSensitivePerceptron::new(num_features, num_classes, 0.05);
+                        p.restore_state(&decode_value(&bytes).unwrap()).unwrap();
+                    }
+                    _ => {}
+                }
+                let class = rng.below(num_classes as u64) as usize;
+                let features: Vec<f64> = scales
+                    .iter()
+                    .map(|&scale| (rng.unit_f64() + class as f64 * 0.3) * scale - scale * 0.5)
+                    .collect();
+                p.predict_scores_into(&features, &mut scores);
+                reference.predict_scores_into(&features, &mut reference_scores);
+                proptest::prop_assert_eq!(bits(&scores), bits(&reference_scores), "instance {}", n);
+                proptest::prop_assert_eq!(argmax(&scores), argmax(&reference_scores));
+                let instance = Instance::new(features, class);
+                p.learn(&instance);
+                reference.learn(&instance);
+            }
+        }
     }
 
     #[test]
