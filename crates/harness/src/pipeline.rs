@@ -98,11 +98,15 @@ pub struct RunResult {
     pub instances: u64,
     /// Positions at which the detector signalled drift.
     pub detections: Vec<u64>,
-    /// Total seconds spent in detector update calls.
+    /// Total seconds spent in detector update calls (every call timed).
     pub detector_update_seconds: f64,
-    /// Total seconds spent testing (classifier prediction + metric update).
+    /// Estimated total seconds spent testing (classifier prediction +
+    /// metric update): about one instance in 32, picked by a hash of its
+    /// position, is timed and counts 32 times. An unbiased estimate, not
+    /// a sum over every instance.
     pub test_seconds: f64,
-    /// Total seconds spent training the classifier.
+    /// Estimated total seconds spent training the classifier, sampled like
+    /// [`RunResult::test_seconds`].
     pub train_seconds: f64,
 }
 
