@@ -1,5 +1,6 @@
-//! Argument helpers shared by the experiment binaries: a bad command line
-//! prints one line to stderr and exits with status 2 instead of panicking.
+//! Argument helpers shared by the experiment binaries: a bad command line —
+//! a missing value, one that does not parse, or one out of range — prints
+//! one line to stderr and exits with status 2 instead of panicking.
 
 use std::str::FromStr;
 
@@ -17,12 +18,32 @@ pub fn text(args: &[String], i: usize) -> &str {
     }
 }
 
-/// `value` parsed for `flag`, which needs `expected` (e.g. "an integer").
-pub fn parse<T: FromStr>(flag: &str, value: &str, expected: &str) -> T {
-    value.parse().unwrap_or_else(|_| fail(&format!("{flag} needs {expected}, got `{value}`")))
+/// `value` parsed for `flag` and accepted by `valid`; `expected` names what
+/// the flag takes (e.g. "an integer >= 2").
+pub fn parse<T: FromStr>(
+    flag: &str,
+    value: &str,
+    expected: &str,
+    valid: impl FnOnce(&T) -> bool,
+) -> T {
+    match value.parse() {
+        Ok(parsed) if valid(&parsed) => parsed,
+        _ => fail(&format!("{flag} needs {expected}, got `{value}`")),
+    }
 }
 
 /// The value following the flag at `args[i]`, parsed.
 pub fn value<T: FromStr>(args: &[String], i: usize, expected: &str) -> T {
-    parse(&args[i], text(args, i), expected)
+    value_if(args, i, expected, |_| true)
+}
+
+/// The value following the flag at `args[i]`, parsed and accepted by
+/// `valid`.
+pub fn value_if<T: FromStr>(
+    args: &[String],
+    i: usize,
+    expected: &str,
+    valid: impl FnOnce(&T) -> bool,
+) -> T {
+    parse(&args[i], text(args, i), expected, valid)
 }

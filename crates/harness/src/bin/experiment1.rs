@@ -13,7 +13,6 @@
 //! cores by default; `--threads` sets the worker count (results are
 //! identical either way).
 
-use rbm_im_harness::detectors::DetectorKind;
 use rbm_im_harness::experiment1::{run_experiment1, selected_benchmarks, Experiment1Config};
 use rbm_im_harness::pipeline::available_threads;
 use rbm_im_harness::report::{format_ranking, format_table3, to_json};
@@ -47,7 +46,8 @@ fn main() {
                 i += 2;
             }
             "--max-instances" => {
-                config.run.max_instances = Some(cli::value(&args, i, "an integer"));
+                config.run.max_instances =
+                    Some(cli::value_if(&args, i, "a positive integer", |&n: &u64| n > 0));
                 i += 2;
             }
             "--json" => {
@@ -81,17 +81,20 @@ fn main() {
     println!("{}", format_table3(&result, "pmGM"));
     println!("{}", format_ranking(&result, "pmAUC", 0.05));
     println!("{}", format_ranking(&result, "pmGM", 0.05));
-    for opponent in [DetectorKind::PerfSim, DetectorKind::DdmOci] {
-        match result.bayesian_vs(opponent, 1.0, 20_000, 42) {
+    // Figs. 6–7: RBM-IM against the other skew-insensitive detectors, at
+    // their positions in the paper's line-up (WSTD, RDDM, FHDDM, PerfSim,
+    // DDM-OCI, RBM-IM).
+    let (perfsim, ddm_oci, rbm_im) = (3, 4, 5);
+    for opponent in [perfsim, ddm_oci] {
+        let name = result.detectors[opponent].label();
+        match result.bayesian_vs(rbm_im, opponent, 1.0, 20_000, 42) {
             Ok(outcome) => println!(
-                "Bayesian signed test RBM-IM vs {}: p(RBM-IM better) = {:.3}, p(rope) = {:.3}, p({} better) = {:.3}",
-                opponent.name(),
+                "Bayesian signed test RBM-IM vs {name}: p(RBM-IM better) = {:.3}, p(rope) = {:.3}, p({name} better) = {:.3}",
                 outcome.p_left,
                 outcome.p_rope,
-                opponent.name(),
                 outcome.p_right
             ),
-            Err(e) => println!("Bayesian signed test vs {} unavailable: {e}", opponent.name()),
+            Err(e) => println!("Bayesian signed test vs {name} unavailable: {e}"),
         }
     }
     if let Some(path) = json_path {

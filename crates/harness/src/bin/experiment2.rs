@@ -20,19 +20,23 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--classes" => {
-                config.num_classes = cli::value(&args, i, "an integer");
+                config.num_classes = cli::value_if(&args, i, "an integer >= 2", |&m| m >= 2);
                 i += 2;
             }
             "--features" => {
-                config.num_features = cli::value(&args, i, "an integer");
+                config.num_features =
+                    cli::value_if(&args, i, "a positive integer", |&d: &usize| d > 0);
                 i += 2;
             }
             "--length" => {
-                config.length = cli::value(&args, i, "an integer");
+                config.length = cli::value_if(&args, i, "a positive integer", |&n: &u64| n > 0);
                 i += 2;
             }
             "--ir" => {
-                config.imbalance_ratio = cli::value(&args, i, "a number");
+                config.imbalance_ratio =
+                    cli::value_if(&args, i, "a finite number >= 1", |r: &f64| {
+                        r.is_finite() && *r >= 1.0
+                    });
                 i += 2;
             }
             "--seed" => {

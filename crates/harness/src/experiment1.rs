@@ -7,9 +7,8 @@
 //! wall-clock time scales with the core count while the output stays
 //! byte-identical to a single-threaded run.
 
-use crate::detectors::DetectorKind;
 use crate::pipeline::{run_grid_observed, GridStream, RunConfig, RunResult};
-use crate::registry::DetectorRegistry;
+use crate::registry::{paper_detectors, DetectorRegistry, DetectorSpec};
 use rbm_im_stats::bayesian::{bayesian_signed_test, BayesianSignedOutcome};
 use rbm_im_stats::friedman::{bonferroni_dunn_critical_difference, friedman_test, FriedmanResult};
 use rbm_im_streams::registry::{all_benchmarks, BenchmarkSpec, BuildConfig};
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Experiment1Config {
     /// Detectors to compare (defaults to the paper's six).
-    pub detectors: Vec<DetectorKind>,
+    pub detectors: Vec<DetectorSpec>,
     /// Stream construction (seed, length scaling, drift count, dynamic IR).
     pub build: BuildConfigSerde,
     /// Prequential run settings.
@@ -56,7 +55,7 @@ impl From<BuildConfigSerde> for BuildConfig {
 impl Default for Experiment1Config {
     fn default() -> Self {
         Experiment1Config {
-            detectors: DetectorKind::paper_detectors(),
+            detectors: paper_detectors(),
             build: BuildConfigSerde {
                 seed: 42,
                 scale_divisor: 20,
@@ -72,12 +71,13 @@ impl Default for Experiment1Config {
 /// Full outcome of Experiment 1.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Experiment1Result {
-    /// One row per (benchmark × detector).
+    /// One run per (benchmark × detector), benchmark-major: the run of
+    /// detector `d` on benchmark `b` is `runs[b * detectors.len() + d]`.
     pub runs: Vec<RunResult>,
     /// Benchmark names in evaluation order.
     pub benchmarks: Vec<String>,
     /// Detector order used for the rank analysis.
-    pub detectors: Vec<DetectorKind>,
+    pub detectors: Vec<DetectorSpec>,
 }
 
 impl Experiment1Result {
@@ -92,21 +92,12 @@ impl Experiment1Result {
     }
 
     fn metric_matrix(&self, metric: impl Fn(&RunResult) -> f64) -> Vec<Vec<f64>> {
-        self.detectors
-            .iter()
-            .map(|d| {
-                self.benchmarks
-                    .iter()
-                    .map(|b| {
-                        self.runs
-                            .iter()
-                            .find(|r| r.detector == d.name() && &r.stream == b)
-                            .map(&metric)
-                            .unwrap_or(f64::NAN)
-                    })
-                    .collect()
-            })
-            .collect()
+        (0..self.detectors.len()).map(|d| self.detector_runs(d).map(&metric).collect()).collect()
+    }
+
+    /// The runs of the detector at position `d`, in benchmark order.
+    fn detector_runs(&self, d: usize) -> impl Iterator<Item = &RunResult> {
+        self.runs.iter().skip(d).step_by(self.detectors.len())
     }
 
     /// Friedman test over the pmAUC matrix (Fig. 4 input).
@@ -124,42 +115,32 @@ impl Experiment1Result {
         bonferroni_dunn_critical_difference(self.detectors.len(), self.benchmarks.len(), alpha)
     }
 
-    /// Bayesian signed test of RBM-IM against another detector on pmAUC
-    /// (Figs. 6–7; the rope is expressed in pmAUC percentage points).
+    /// Bayesian signed test of the detector at position `left` against the
+    /// one at position `right` on pmAUC (Figs. 6–7 put RBM-IM on the left;
+    /// the rope is expressed in pmAUC percentage points).
     pub fn bayesian_vs(
         &self,
-        opponent: DetectorKind,
+        left: usize,
+        right: usize,
         rope: f64,
         samples: usize,
         seed: u64,
     ) -> rbm_im_stats::Result<BayesianSignedOutcome> {
         let matrix = self.pm_auc_matrix();
-        let rbm_idx = self
-            .detectors
-            .iter()
-            .position(|d| *d == DetectorKind::RbmIm)
-            .expect("RBM-IM must be part of the comparison");
-        let opp_idx = self
-            .detectors
-            .iter()
-            .position(|d| *d == opponent)
-            .expect("opponent must be part of the comparison");
-        bayesian_signed_test(&matrix[rbm_idx], &matrix[opp_idx], rope, samples, seed)
+        bayesian_signed_test(&matrix[left], &matrix[right], rope, samples, seed)
     }
 
     /// Average detector update time in seconds, per detector.
-    pub fn average_update_seconds(&self) -> Vec<(DetectorKind, f64)> {
-        self.detectors
-            .iter()
+    pub fn average_update_seconds(&self) -> Vec<f64> {
+        (0..self.detectors.len())
             .map(|d| {
-                let rows: Vec<&RunResult> =
-                    self.runs.iter().filter(|r| r.detector == d.name()).collect();
-                let avg = if rows.is_empty() {
+                let seconds: Vec<f64> =
+                    self.detector_runs(d).map(|r| r.detector_update_seconds).collect();
+                if seconds.is_empty() {
                     0.0
                 } else {
-                    rows.iter().map(|r| r.detector_update_seconds).sum::<f64>() / rows.len() as f64
-                };
-                (*d, avg)
+                    seconds.iter().sum::<f64>() / seconds.len() as f64
+                }
             })
             .collect()
     }
@@ -198,7 +179,8 @@ pub fn selected_benchmarks(config: &Experiment1Config) -> Result<Vec<BenchmarkSp
 ///
 /// # Panics
 ///
-/// If [`selected_benchmarks`] rejects the configuration.
+/// If [`selected_benchmarks`] rejects the configuration, or a detector spec
+/// does not resolve against the default registry.
 pub fn run_experiment1(
     config: &Experiment1Config,
     threads: usize,
@@ -206,15 +188,15 @@ pub fn run_experiment1(
 ) -> Experiment1Result {
     let build: BuildConfig = config.build.into();
     let specs = selected_benchmarks(config).unwrap_or_else(|e| panic!("{e}"));
-    let detectors: Vec<_> = config.detectors.iter().map(|d| d.spec()).collect();
     let streams: Vec<GridStream> =
         specs.iter().map(|s| GridStream::from_benchmark(s.clone(), build)).collect();
     let progress = std::sync::Mutex::new(progress);
     let registry = DetectorRegistry::global();
-    let runs = run_grid_observed(registry, &detectors, &streams, &config.run, threads, |run| {
-        (progress.lock().expect("progress sink poisoned"))(run)
-    })
-    .expect("every DetectorKind resolves against the default registry");
+    let runs =
+        run_grid_observed(registry, &config.detectors, &streams, &config.run, threads, |_, run| {
+            (progress.lock().expect("progress sink poisoned"))(run)
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     Experiment1Result {
         runs,
         benchmarks: specs.iter().map(|s| s.name.clone()).collect(),
@@ -230,7 +212,7 @@ mod tests {
     /// exercised inside unit tests.
     fn tiny_config() -> Experiment1Config {
         Experiment1Config {
-            detectors: vec![DetectorKind::Fhddm, DetectorKind::DdmOci, DetectorKind::RbmIm],
+            detectors: ["FHDDM", "DDM-OCI", "RBM-IM"].map(DetectorSpec::new).into(),
             build: BuildConfigSerde {
                 seed: 7,
                 scale_divisor: 400,
@@ -259,13 +241,39 @@ mod tests {
     }
 
     #[test]
+    fn results_are_read_by_grid_position() {
+        let config = tiny_config();
+        let result = run_experiment1(&config, 2, |_| {});
+        let (auc, gm) = (result.pm_auc_matrix(), result.pm_gmean_matrix());
+        for (b, bench) in result.benchmarks.iter().enumerate() {
+            for (d, spec) in config.detectors.iter().enumerate() {
+                let run = &result.runs[b * config.detectors.len() + d];
+                assert_eq!((&run.stream, &run.detector), (bench, &spec.label()));
+                assert_eq!(auc[d][b].to_bits(), run.pm_auc.to_bits());
+                assert_eq!(gm[d][b].to_bits(), run.pm_gmean.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn config_serde_round_trip() {
+        // Experiment configurations can live in files, tuned detectors too.
+        let config = Experiment1Config {
+            detectors: vec![DetectorSpec::parse("adwin(delta=0.01)").unwrap()],
+            ..tiny_config()
+        };
+        let json = serde_json::to_string(&config).unwrap();
+        assert_eq!(serde_json::from_str::<Experiment1Config>(&json).unwrap(), config);
+    }
+
+    #[test]
     fn rank_analysis_runs_on_experiment_output() {
         let result = run_experiment1(&tiny_config(), 2, |_| {});
         let friedman = result.friedman_pm_auc().unwrap();
         assert_eq!(friedman.average_ranks.len(), 3);
         let cd = result.critical_difference(0.05).unwrap();
         assert!(cd > 0.0);
-        let bayes = result.bayesian_vs(DetectorKind::DdmOci, 1.0, 2_000, 3).unwrap();
+        let bayes = result.bayesian_vs(2, 1, 1.0, 2_000, 3).unwrap();
         let total = bayes.p_left + bayes.p_rope + bayes.p_right;
         assert!((total - 1.0).abs() < 1e-9);
         let timings = result.average_update_seconds();

@@ -5,9 +5,8 @@
 //! smallest classes first) and reports the pmAUC of the classifier driven by
 //! each detector. The fewer classes drift, the harder the detection.
 
-use crate::detectors::DetectorKind;
-use crate::pipeline::{available_threads, run_grid_observed, GridStream, RunConfig, RunResult};
-use crate::registry::DetectorRegistry;
+use crate::pipeline::{run_sweep, GridStream, RunConfig, RunResult};
+use crate::registry::{paper_detectors, DetectorSpec};
 use rbm_im_streams::drift::DriftKind;
 use rbm_im_streams::scenarios::{scenario3, ScenarioConfig};
 use serde::{Deserialize, Serialize};
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Experiment2Config {
     /// Detectors to evaluate.
-    pub detectors: Vec<DetectorKind>,
+    pub detectors: Vec<DetectorSpec>,
     /// Number of features of the synthetic stream.
     pub num_features: usize,
     /// Number of classes M; the sweep runs over 1..=M drifting classes.
@@ -35,10 +34,22 @@ pub struct Experiment2Config {
     pub run: RunConfig,
 }
 
+impl Experiment2Config {
+    /// The class counts the sweep runs over: `classes_with_drift`, or
+    /// 1..=`num_classes` when that is empty.
+    pub(crate) fn sweep(&self) -> Vec<usize> {
+        if self.classes_with_drift.is_empty() {
+            (1..=self.num_classes).collect()
+        } else {
+            self.classes_with_drift.clone()
+        }
+    }
+}
+
 impl Default for Experiment2Config {
     fn default() -> Self {
         Experiment2Config {
-            detectors: DetectorKind::paper_detectors(),
+            detectors: paper_detectors(),
             num_features: 20,
             num_classes: 5,
             length: 50_000,
@@ -56,80 +67,54 @@ impl Default for Experiment2Config {
 pub struct LocalDriftPoint {
     /// Number of classes affected by the local drift.
     pub classes_with_drift: usize,
-    /// Run outcome of each detector at this point.
+    /// Run outcome of each detector at this point, in detector order.
     pub runs: Vec<RunResult>,
 }
 
 /// Full outcome of Experiment 2: one series per detector.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Experiment2Result {
-    /// The swept points, in increasing number of drifting classes.
+    /// The swept points, in sweep order.
     pub points: Vec<LocalDriftPoint>,
     /// Detector order.
-    pub detectors: Vec<DetectorKind>,
+    pub detectors: Vec<DetectorSpec>,
 }
 
 impl Experiment2Result {
-    /// pmAUC series of one detector, indexed like `points`.
-    pub fn series(&self, detector: DetectorKind) -> Vec<f64> {
-        self.points
-            .iter()
-            .map(|p| {
-                p.runs
-                    .iter()
-                    .find(|r| r.detector == detector.name())
-                    .map(|r| r.pm_auc)
-                    .unwrap_or(f64::NAN)
-            })
-            .collect()
+    /// pmAUC series of the detector at position `detector`, indexed like
+    /// `points`.
+    pub fn series(&self, detector: usize) -> Vec<f64> {
+        self.points.iter().map(|p| p.runs[detector].pm_auc).collect()
     }
 }
 
 /// Runs the local-drift sweep: all (sweep point × detector) cells form one
 /// parallel grid. `progress` fires live as each cell completes (completion
 /// order); the returned points are in deterministic sweep order.
+///
+/// # Panics
+///
+/// If a detector spec does not resolve against the default registry.
 pub fn run_experiment2(
     config: &Experiment2Config,
     progress: impl FnMut(usize, &RunResult) + Send,
 ) -> Experiment2Result {
-    let sweep: Vec<usize> = if config.classes_with_drift.is_empty() {
-        (1..=config.num_classes).collect()
-    } else {
-        config.classes_with_drift.clone()
+    let stream = |k| {
+        let scenario_config = ScenarioConfig {
+            num_features: config.num_features,
+            num_classes: config.num_classes,
+            length: config.length,
+            imbalance_ratio: config.imbalance_ratio,
+            n_drifts: config.n_drifts,
+            drift_kind: DriftKind::Sudden,
+            seed: config.seed,
+        };
+        GridStream::new(format!("scenario3-k{k}"), move || scenario3(&scenario_config, k).stream)
     };
-    let detectors: Vec<_> = config.detectors.iter().map(|d| d.spec()).collect();
-    let streams: Vec<GridStream> = sweep
-        .iter()
-        .map(|&k| {
-            let scenario_config = ScenarioConfig {
-                num_features: config.num_features,
-                num_classes: config.num_classes,
-                length: config.length,
-                imbalance_ratio: config.imbalance_ratio,
-                n_drifts: config.n_drifts,
-                drift_kind: DriftKind::Sudden,
-                seed: config.seed,
-            };
-            GridStream::new(format!("scenario3-k{k}"), move || {
-                scenario3(&scenario_config, k).stream
-            })
-        })
+    let points = run_sweep(&config.detectors, &config.sweep(), stream, &config.run, progress)
+        .into_iter()
+        .map(|(classes_with_drift, runs)| LocalDriftPoint { classes_with_drift, runs })
         .collect();
-    // Recover the sweep point of a completed cell from its stream label.
-    let k_by_name: std::collections::BTreeMap<String, usize> =
-        streams.iter().map(|s| s.name.clone()).zip(sweep.iter().copied()).collect();
-    let progress = std::sync::Mutex::new(progress);
-    let registry = DetectorRegistry::global();
-    let threads = available_threads();
-    let results = run_grid_observed(registry, &detectors, &streams, &config.run, threads, |run| {
-        let k = k_by_name[&run.stream];
-        (progress.lock().expect("progress sink poisoned"))(k, run);
-    })
-    .expect("every DetectorKind resolves against the default registry");
-    let mut points = Vec::new();
-    for (chunk, &k) in results.chunks(detectors.len().max(1)).zip(sweep.iter()) {
-        points.push(LocalDriftPoint { classes_with_drift: k, runs: chunk.to_vec() });
-    }
     Experiment2Result { points, detectors: config.detectors.clone() }
 }
 
@@ -139,7 +124,7 @@ mod tests {
 
     fn tiny_config() -> Experiment2Config {
         Experiment2Config {
-            detectors: vec![DetectorKind::Fhddm, DetectorKind::RbmIm],
+            detectors: vec![DetectorSpec::new("FHDDM"), DetectorSpec::new("RBM-IM")],
             num_features: 8,
             num_classes: 4,
             length: 4_000,
@@ -159,17 +144,16 @@ mod tests {
         assert_eq!(result.points.len(), 2);
         assert_eq!(result.points[0].classes_with_drift, 1);
         assert_eq!(result.points[1].classes_with_drift, 4);
-        let series = result.series(DetectorKind::RbmIm);
+        let series = result.series(1);
         assert_eq!(series.len(), 2);
         assert!(series.iter().all(|v| v.is_finite()));
+        assert!(result.points.iter().all(|p| p.runs[1].detector == "RBM-IM"));
     }
 
     #[test]
     fn default_sweep_covers_all_class_counts() {
         let config = Experiment2Config { num_classes: 5, ..Default::default() };
-        assert!(config.classes_with_drift.is_empty());
-        // Only validate the sweep expansion logic, not a full run.
-        let sweep: Vec<usize> = (1..=config.num_classes).collect();
-        assert_eq!(sweep, vec![1, 2, 3, 4, 5]);
+        assert_eq!(config.sweep(), [1, 2, 3, 4, 5]);
+        assert_eq!(tiny_config().sweep(), [1, 4], "an explicit list is swept as given");
     }
 }

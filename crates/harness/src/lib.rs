@@ -10,15 +10,16 @@
 //!   sinks;
 //! * [`registry::DetectorRegistry`] / [`registry::DetectorSpec`] — the open,
 //!   string-keyed detector catalogue (`"adwin(delta=0.01)"` is a valid
-//!   spec); new detectors register without touching this crate;
+//!   spec); new detectors register without touching this crate, and
+//!   experiments name their detectors by spec
+//!   ([`registry::paper_detectors`] is the paper's line-up);
 //! * [`pipeline::run_grid`] — the parallel detectors × streams grid, one
-//!   stream pass per row, that experiments 1–3 are built on;
-//! * [`detectors::DetectorKind`] — compat shim enumerating the paper's
-//!   line-up, resolved through the registry.
+//!   stream pass per row, that experiments 1–3 are built on.
 //!
 //! | Paper artifact | Module | Entry point |
 //! |---|---|---|
 //! | Table I (benchmark inventory) | [`rbm_im_streams::registry`] | `cargo run -p rbm-im-harness --release --bin table1` |
+//! | Table II/III detector line-up | [`registry::paper_detectors`] | every `experiment*` bin |
 //! | Table III (pmAUC / pmGM / timing, 6 detectors × 24 streams) | [`experiment1`] | `--bin experiment1` |
 //! | Fig. 4 & 5 (Bonferroni–Dunn ranks) | [`experiment1`] | `--bin experiment1` |
 //! | Fig. 6 & 7 (Bayesian signed tests) | [`experiment1`] | `--bin experiment1` |
@@ -35,7 +36,6 @@
 
 pub mod ablation;
 pub mod checkpoint;
-pub mod detectors;
 pub mod experiment1;
 pub mod experiment2;
 pub mod experiment3;
@@ -46,7 +46,6 @@ pub mod stepper;
 pub mod tuning;
 
 pub use checkpoint::{CheckpointError, PipelineCheckpoint};
-pub use detectors::DetectorKind;
 pub use pipeline::{run_grid, GridStream, PipelineBuilder, PipelineEvent, RunConfig, RunResult};
-pub use registry::{DetectorRegistry, DetectorSpec};
+pub use registry::{paper_detectors, DetectorRegistry, DetectorSpec};
 pub use stepper::PipelineStepper;

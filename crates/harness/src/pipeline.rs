@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Configuration of a single prequential run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -419,14 +419,15 @@ pub fn run_grid(
     config: &RunConfig,
 ) -> Result<Vec<RunResult>, PipelineError> {
     let registry = DetectorRegistry::global();
-    run_grid_observed(registry, detectors, streams, config, available_threads(), |_| {})
+    run_grid_observed(registry, detectors, streams, config, available_threads(), |_, _| {})
 }
 
 /// [`run_grid`] against an explicit registry on `threads` workers, plus a
-/// streaming progress callback: `on_cell` fires on a worker thread as each
-/// cell *completes* (completion order, not grid order — long-running grids
-/// get live progress instead of silence). The returned `Vec` is still in
-/// deterministic row-major grid order.
+/// streaming progress callback: `on_cell(row, result)` fires on a worker
+/// thread as each cell *completes* (completion order, not grid order —
+/// long-running grids get live progress instead of silence), with `row`
+/// the index of the cell's stream in `streams`. The returned `Vec` is
+/// still in deterministic row-major grid order.
 ///
 /// The unit of work is a row: one stream, built once, whose instances go
 /// in lockstep through one [`PipelineStepper`] per detector. `threads`
@@ -441,7 +442,7 @@ pub fn run_grid_observed(
     streams: &[GridStream],
     config: &RunConfig,
     threads: usize,
-    on_cell: impl Fn(&RunResult) + Sync,
+    on_cell: impl Fn(usize, &RunResult) + Sync,
 ) -> Result<Vec<RunResult>, PipelineError> {
     for spec in detectors {
         registry.check(spec)?;
@@ -454,7 +455,8 @@ pub fn run_grid_observed(
             scope.spawn(|| loop {
                 let row = next_row.fetch_add(1, Ordering::Relaxed);
                 let Some(stream) = streams.get(row) else { break };
-                let cells = run_row(registry, detectors, stream, config, &on_cell);
+                let cells =
+                    run_row(registry, detectors, stream, config, &|cell| on_cell(row, cell));
                 rows[row].set(cells).expect("each grid row runs once");
             });
         }
@@ -464,6 +466,37 @@ pub fn run_grid_observed(
         results.extend(row.into_inner().expect("every grid row ran")?);
     }
     Ok(results)
+}
+
+/// The sweep behind Figs. 8 and 9: one grid row per swept value `x`, on
+/// the stream `stream(x)`, with every detector on each row, against the
+/// default registry on [`available_threads`] workers. `progress` fires live
+/// with the row's value as each cell completes; the rows come back in
+/// sweep order, each with its value and its runs in detector order.
+///
+/// # Panics
+///
+/// If a detector spec does not resolve against the default registry.
+pub(crate) fn run_sweep<X: Copy + Sync>(
+    detectors: &[DetectorSpec],
+    values: &[X],
+    stream: impl Fn(X) -> GridStream,
+    config: &RunConfig,
+    progress: impl FnMut(X, &RunResult) + Send,
+) -> Vec<(X, Vec<RunResult>)> {
+    let streams: Vec<GridStream> = values.iter().map(|&x| stream(x)).collect();
+    let progress = Mutex::new(progress);
+    let registry = DetectorRegistry::global();
+    let threads = available_threads();
+    let results = run_grid_observed(registry, detectors, &streams, config, threads, |row, run| {
+        (progress.lock().expect("progress sink poisoned"))(values[row], run)
+    })
+    .unwrap_or_else(|e| panic!("{e}"));
+    values
+        .iter()
+        .zip(results.chunks(detectors.len().max(1)))
+        .map(|(&x, runs)| (x, runs.to_vec()))
+        .collect()
 }
 
 /// One grid row: each instance goes, in detector order, through one
@@ -508,7 +541,6 @@ fn run_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detectors::DetectorKind;
     use rbm_im_classifiers::GaussianNaiveBayes;
     use rbm_im_streams::generators::RandomRbfGenerator;
     use rbm_im_streams::scenarios::{scenario1, ScenarioConfig};
@@ -532,7 +564,7 @@ mod tests {
         let scenario = scenario1(&small_scenario());
         let result = PipelineBuilder::new()
             .boxed_stream(scenario.stream)
-            .detector_spec(DetectorKind::RbmIm.spec())
+            .detector_spec(DetectorSpec::new("RBM-IM"))
             .config(RunConfig { metric_window: 500, ..Default::default() })
             .run()
             .unwrap();
@@ -560,7 +592,7 @@ mod tests {
         let run = |config: RunConfig| {
             PipelineBuilder::new()
                 .stream(make_stream())
-                .detector_spec(DetectorKind::Adwin.spec())
+                .detector_spec(DetectorSpec::new("ADWIN"))
                 .config(config)
                 .run()
                 .unwrap()
@@ -598,7 +630,7 @@ mod tests {
         let gen = RandomRbfGenerator::new(5, 3, 2, 0.0, 3);
         let result = PipelineBuilder::new()
             .stream(BoundedStream::new(gen, 2_000))
-            .detector_spec(DetectorKind::Fhddm.spec())
+            .detector_spec(DetectorSpec::new("FHDDM"))
             .config(RunConfig { metric_window: 500, ..Default::default() })
             .run()
             .unwrap();
@@ -607,7 +639,7 @@ mod tests {
         let scenario = scenario1(&small_scenario());
         let result = PipelineBuilder::new()
             .boxed_stream(scenario.stream)
-            .detector_spec(DetectorKind::Ddm.spec())
+            .detector_spec(DetectorSpec::new("DDM"))
             .config(RunConfig {
                 metric_window: 200,
                 max_instances: Some(1_000),
@@ -625,7 +657,7 @@ mod tests {
         let snapshots = RefCell::new(0usize);
         let result = PipelineBuilder::new()
             .boxed_stream(scenario.stream)
-            .detector_spec(DetectorKind::Adwin.spec())
+            .detector_spec(DetectorSpec::new("ADWIN"))
             .config(RunConfig {
                 metric_window: 500,
                 snapshot_every: Some(1_000),
@@ -650,7 +682,7 @@ mod tests {
             .classifier_with(|schema| {
                 GaussianNaiveBayes::new(schema.num_features, schema.num_classes)
             })
-            .detector_spec(DetectorKind::DdmOci.spec())
+            .detector_spec(DetectorSpec::new("DDM-OCI"))
             .config(RunConfig { metric_window: 500, ..Default::default() })
             .run()
             .unwrap();
@@ -663,7 +695,7 @@ mod tests {
         let scenario = scenario1(&small_scenario());
         let batched = PipelineBuilder::new()
             .boxed_stream(scenario.stream)
-            .detector_spec(DetectorKind::RbmIm.spec())
+            .detector_spec(DetectorSpec::new("RBM-IM"))
             .config(RunConfig { metric_window: 500, detector_batch: 50, ..Default::default() })
             .run()
             .unwrap();
@@ -673,7 +705,7 @@ mod tests {
 
     #[test]
     fn grid_results_are_row_major_and_labelled() {
-        let detectors = vec![DetectorKind::Fhddm.spec(), DetectorKind::RbmIm.spec()];
+        let detectors = vec![DetectorSpec::new("FHDDM"), DetectorSpec::new("RBM-IM")];
         let streams: Vec<GridStream> = ["alpha", "beta"]
             .iter()
             .map(|name| {

@@ -1,11 +1,7 @@
 //! Open, string-keyed detector registry.
 //!
-//! The harness used to instantiate detectors through a closed `match` on
-//! [`DetectorKind`](crate::detectors::DetectorKind), which meant every new
-//! detector (or tuned variant of an existing one) required editing the
-//! harness itself. The registry inverts that: a detector is described by a
-//! serde-friendly [`DetectorSpec`] — a name plus parameters (numeric
-//! hyper-parameters or word-valued flags) — and
+//! A detector is described by a serde-friendly [`DetectorSpec`] — a name
+//! plus parameters (numeric hyper-parameters or word-valued flags) — and
 //! resolved against a [`DetectorRegistry`] of factories. Anything
 //! implementing `DriftDetector` can be registered under a new name without
 //! touching this crate, and tuned variants are one-liners:
@@ -44,8 +40,8 @@
 //! assert!(!registry.accepts_param("adwin", "seed"));
 //! ```
 //!
-//! [`DetectorKind`](crate::detectors::DetectorKind) survives as a thin
-//! compatibility shim whose `build` delegates here.
+//! The experiments name their detectors the same way;
+//! [`paper_detectors`] is the paper's line-up.
 
 use rbm_im::network::RbmNetworkConfig;
 use rbm_im::{RbmIm, RbmImConfig};
@@ -264,6 +260,13 @@ impl DetectorSpec {
     fn key(&self) -> String {
         normalize_key(&self.name)
     }
+}
+
+/// The six detectors compared in the paper's Table III, in its column
+/// order. Each is spelled as in the paper, so its [`DetectorSpec::label`] —
+/// the detector label of every grid result — reads as the tables do.
+pub fn paper_detectors() -> Vec<DetectorSpec> {
+    ["WSTD", "RDDM", "FHDDM", "PerfSim", "DDM-OCI", "RBM-IM"].map(DetectorSpec::new).into()
 }
 
 fn normalize_key(name: &str) -> String {
@@ -510,7 +513,7 @@ impl DetectorRegistry {
     }
 
     /// The process-wide default registry ([`DetectorRegistry::with_defaults`],
-    /// built once). `DetectorKind::build` and the no-registry pipeline paths
+    /// built once). The experiments and the no-registry pipeline paths
     /// resolve against this.
     pub fn global() -> &'static DetectorRegistry {
         static GLOBAL: OnceLock<DetectorRegistry> = OnceLock::new();
@@ -611,6 +614,12 @@ mod tests {
                 detector.update(&obs);
             }
         }
+    }
+
+    #[test]
+    fn paper_detector_list_matches_table_two() {
+        let labels: Vec<String> = paper_detectors().iter().map(DetectorSpec::label).collect();
+        assert_eq!(labels, ["WSTD", "RDDM", "FHDDM", "PerfSim", "DDM-OCI", "RBM-IM"]);
     }
 
     #[test]

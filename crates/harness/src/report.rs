@@ -1,10 +1,10 @@
 //! Result formatting: plain-text tables matching the layout of the paper's
 //! tables/figures, plus JSON serialization of every experiment artifact.
 
-use crate::detectors::DetectorKind;
 use crate::experiment1::Experiment1Result;
 use crate::experiment2::Experiment2Result;
 use crate::experiment3::Experiment3Result;
+use crate::registry::DetectorSpec;
 use serde::Serialize;
 
 /// Formats the Table III analogue: one row per benchmark, one column per
@@ -17,7 +17,7 @@ pub fn format_table3(result: &Experiment1Result, metric: &str) -> String {
     let mut out = String::new();
     out.push_str(&format!("{:<16}", format!("Dataset ({metric})")));
     for d in &result.detectors {
-        out.push_str(&format!("{:>10}", d.name()));
+        out.push_str(&format!("{:>10}", d.label()));
     }
     out.push('\n');
     for (j, bench) in result.benchmarks.iter().enumerate() {
@@ -39,7 +39,7 @@ pub fn format_table3(result: &Experiment1Result, metric: &str) -> String {
     }
     // Timing rows.
     out.push_str(&format!("{:<16}", "upd time [s]"));
-    for (_, t) in result.average_update_seconds() {
+    for t in result.average_update_seconds() {
         out.push_str(&format!("{:>10.3}", t));
     }
     out.push('\n');
@@ -62,11 +62,11 @@ pub fn format_ranking(result: &Experiment1Result, metric: &str, alpha: f64) -> S
         "Friedman ({metric}): chi2 = {:.3}, p = {:.2e}; Bonferroni-Dunn CD (alpha={alpha}) = {:.3}\n",
         friedman.chi_squared, friedman.p_value, cd
     ));
-    let mut ranked: Vec<(&DetectorKind, f64)> =
+    let mut ranked: Vec<(&DetectorSpec, f64)> =
         result.detectors.iter().zip(friedman.average_ranks.iter().copied()).collect();
     ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("ranks are not NaN"));
     for (d, r) in ranked {
-        out.push_str(&format!("  {:<10} rank {:.2}\n", d.name(), r));
+        out.push_str(&format!("  {:<10} rank {:.2}\n", d.label(), r));
     }
     out
 }
@@ -76,13 +76,13 @@ pub fn format_ranking(result: &Experiment1Result, metric: &str, alpha: f64) -> S
 pub fn format_series_table(
     header: &str,
     xs: &[String],
-    detectors: &[DetectorKind],
+    detectors: &[DetectorSpec],
     series: &[Vec<f64>],
 ) -> String {
     let mut out = String::new();
     out.push_str(&format!("{:<24}", header));
     for d in detectors {
-        out.push_str(&format!("{:>10}", d.name()));
+        out.push_str(&format!("{:>10}", d.label()));
     }
     out.push('\n');
     for (i, x) in xs.iter().enumerate() {
@@ -99,7 +99,7 @@ pub fn format_series_table(
 pub fn format_fig8(result: &Experiment2Result) -> String {
     let xs: Vec<String> =
         result.points.iter().map(|p| format!("{} classes drift", p.classes_with_drift)).collect();
-    let series: Vec<Vec<f64>> = result.detectors.iter().map(|d| result.series(*d)).collect();
+    let series: Vec<Vec<f64>> = (0..result.detectors.len()).map(|d| result.series(d)).collect();
     format_series_table("pmAUC vs drifting classes", &xs, &result.detectors, &series)
 }
 
@@ -107,7 +107,7 @@ pub fn format_fig8(result: &Experiment2Result) -> String {
 pub fn format_fig9(result: &Experiment3Result) -> String {
     let xs: Vec<String> =
         result.points.iter().map(|p| format!("IR = {}", p.imbalance_ratio)).collect();
-    let series: Vec<Vec<f64>> = result.detectors.iter().map(|d| result.series(*d)).collect();
+    let series: Vec<Vec<f64>> = (0..result.detectors.len()).map(|d| result.series(d)).collect();
     format_series_table("pmAUC vs imbalance ratio", &xs, &result.detectors, &series)
 }
 
@@ -132,7 +132,7 @@ mod tests {
 
     fn tiny_result() -> Experiment1Result {
         let config = Experiment1Config {
-            detectors: vec![DetectorKind::Fhddm, DetectorKind::RbmIm],
+            detectors: vec![DetectorSpec::new("FHDDM"), DetectorSpec::new("RBM-IM")],
             build: BuildConfigSerde {
                 seed: 1,
                 scale_divisor: 500,
@@ -170,13 +170,13 @@ mod tests {
     #[test]
     fn series_table_and_json_are_well_formed() {
         let xs = vec!["IR = 50".to_string(), "IR = 100".to_string()];
-        let detectors = vec![DetectorKind::Ddm, DetectorKind::RbmIm];
+        let detectors = vec![DetectorSpec::new("DDM"), DetectorSpec::new("RBM-IM")];
         let series = vec![vec![60.0, 55.0], vec![80.0, 78.0]];
         let table = format_series_table("pmAUC vs IR", &xs, &detectors, &series);
         assert!(table.contains("IR = 50"));
         assert!(table.contains("80.00"));
         let json = to_json(&detectors);
-        assert!(json.contains("RbmIm"));
+        assert!(json.contains("RBM-IM"));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! and the simplex search walks toward the best-scoring configuration within
 //! the grid bounds of Tab. II.
 
-use crate::detectors::DetectorKind;
 use crate::pipeline::RunConfig;
 use rbm_im::network::RbmNetworkConfig;
 use rbm_im::RbmImConfig;
@@ -140,12 +139,6 @@ pub fn run_with_rbm_config(
     result.pm_auc
 }
 
-/// Returns which detector kinds expose tunable parameters in this harness
-/// (the others use their published defaults / mid-grid values).
-pub fn tunable_detectors() -> Vec<DetectorKind> {
-    vec![DetectorKind::RbmIm]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,10 +163,5 @@ mod tests {
         assert!(outcome.best_pm_auc > 0.0 && outcome.best_pm_auc <= 100.0);
         let config = outcome.to_config();
         assert!(config.mini_batch_size >= 5);
-    }
-
-    #[test]
-    fn only_rbm_im_is_listed_as_tunable() {
-        assert_eq!(tunable_detectors(), vec![DetectorKind::RbmIm]);
     }
 }

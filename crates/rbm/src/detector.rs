@@ -9,18 +9,26 @@
 //! 2. each class's [`TrendTracker`] is updated, yielding the new trend
 //!    `Q_r(t)^m` (Eq. 28) and the verdict of the class's self-adaptive
 //!    (ADWIN) window over the raw error level,
-//! 3. the drift decision for class `m` combines the paper's Granger rule
-//!    with a magnitude guard:
-//!    * the Granger causality test (first differences) between the older and
-//!      the recent half of the trend history finds **no** causal
-//!      relationship — the paper's criterion for "the new trend is not
-//!      explainable from the old one" — **and** the recent error level has
-//!      moved materially away from the older level (without this guard a
-//!      perfectly flat, stable stream would also be flagged, because two
-//!      constant series trivially exhibit no Granger causality), **or**
-//!    * the class's adaptive window shrank (ADWIN detected a change in the
-//!      reconstruction-error level), which is the self-adaptive mechanism
-//!      the paper adopts from \[19\];
+//! 3. the drift decision for class `m` applies three rules, each judging
+//!    the batch error against the class's error window as it stood before
+//!    the batch:
+//!    * **adaptive window** — the class's adaptive window shrank (ADWIN
+//!      detected a change in the reconstruction-error level, the
+//!      self-adaptive mechanism the paper adopts from \[19\]) and the error
+//!      rose; this rule fires at once, bypassing `persistence`;
+//!    * **magnitude** — the error exceeds the window mean by more than
+//!      `magnitude_sigmas` window standard deviations;
+//!    * **guarded Granger** — the Granger causality test (first differences)
+//!      between the older and the recent half of the trend history finds
+//!      **no** causal relationship — the paper's criterion for "the new
+//!      trend is not explainable from the old one" — **and** the error
+//!      exceeds the window mean by more than 0.8 × `magnitude_sigmas`
+//!      standard deviations (without this guard a perfectly flat, stable
+//!      stream would also be flagged, because two constant series trivially
+//!      exhibit no Granger causality);
+//!
+//!    the class is declared drifted once the magnitude or the Granger rule
+//!    has held in `persistence` consecutive batches;
 //! 4. the network is trained on the batch (CD-k with the class-balanced
 //!    loss), so the detector keeps following the stream;
 //! 5. if any class drifted, the detector reports [`DetectorState::Drift`]
@@ -52,9 +60,9 @@ pub struct RbmImConfig {
     pub granger_alpha: f64,
     /// Confidence δ of the per-class adaptive (ADWIN) windows.
     pub adwin_delta: f64,
-    /// Magnitude guard: the recent mean reconstruction error must differ
-    /// from the older mean by at least this many standard deviations of the
-    /// older window for the Granger rule to fire.
+    /// Threshold of the magnitude rule: a batch error more than this many
+    /// standard deviations of the class's error window above the window
+    /// mean is over threshold. The Granger rule's guard is 0.8 × this.
     pub magnitude_sigmas: f64,
     /// Number of mini-batches used purely for initial training before any
     /// detection is attempted (the paper trains RBM-IM on the first batch;
@@ -282,8 +290,8 @@ impl RbmIm {
     ///    old level — the paper's rule, guarded so flat stable series do not
     ///    trigger it.
     ///
-    /// Rules 2 and 3 must hold for `persistence` consecutive batches before
-    /// the class is declared drifted.
+    /// Rule 2 or rule 3 must hold in `persistence` consecutive batches
+    /// before the class is declared drifted.
     fn update_class(&mut self, class: usize, error: f64) -> bool {
         // Snapshot the old-concept error level before this observation
         // enters the window.
@@ -299,7 +307,7 @@ impl RbmIm {
         }
         let shift = error - older_mean;
 
-        // Rule 2: the self-adaptive window flagged a change and the error
+        // Rule 1: the self-adaptive window flagged a change and the error
         // moved upward. ADWIN already requires sustained evidence, so it is
         // not subject to the persistence counter.
         if adwin_change && shift > 0.0 {
@@ -307,7 +315,7 @@ impl RbmIm {
             return true;
         }
 
-        // Rule 1: one-sided magnitude test.
+        // Rule 2: one-sided magnitude test.
         let magnitude_exceeded = shift > self.config.magnitude_sigmas * older_std;
         // Rule 3: Granger causality between the older and recent halves of
         // the trend history, with a slightly reduced magnitude guard.

@@ -13,16 +13,19 @@
 //!   Table I — "unknown" streams receive a mild drift so the detectors have
 //!   something to find, mirroring the common assumption that real streams
 //!   are rarely perfectly stationary),
-//! * the instance count, scaled down by a configurable factor (default 10×)
-//!   so the full Table III regenerates on a laptop.
+//! * the instance count, scaled down by a configurable factor (20× under
+//!   `BuildConfig::default()`) so the full Table III regenerates on a
+//!   laptop.
 //!
 //! The substitute is a Gaussian-mixture concept sequence wrapped in an
 //! imbalance operator, which exercises exactly the code paths the real
 //! streams would (multi-class skew, drift of unknown type, high
 //! dimensionality where applicable). Absolute metric values differ from the
-//! paper; the detector *ordering* — the paper's actual claim — is preserved
-//! because it is driven by imbalance and drift structure rather than by the
-//! raw feature values. See DESIGN.md §5.
+//! paper. Whether the substitutes keep the paper's detector *ordering* —
+//! its actual claim — is unverified: the design assumes that ordering is
+//! driven by imbalance and drift structure rather than by raw feature
+//! values, but no run has compared the two yet (ROADMAP item 2's fidelity
+//! audit).
 
 use crate::drift::{ConceptSequenceStream, DriftEvent, DriftKind, DriftSchedule};
 use crate::generators::GaussianMixtureGenerator;

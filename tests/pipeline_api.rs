@@ -168,7 +168,8 @@ fn run_grid_is_deterministic_across_thread_counts() {
     let cells = AtomicUsize::new(0);
     let run = |detectors: &[DetectorSpec], threads: usize| {
         let registry = DetectorRegistry::global();
-        run_grid_observed(registry, detectors, &streams, &config, threads, |_| {
+        run_grid_observed(registry, detectors, &streams, &config, threads, |row, cell| {
+            assert_eq!(cell.stream, streams[row].name, "on_cell names the cell's row");
             cells.fetch_add(1, Ordering::Relaxed);
         })
     };
