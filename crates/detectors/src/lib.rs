@@ -170,11 +170,11 @@ pub trait DriftDetector {
         out.clear();
     }
 
-    /// Escape hatch for infrastructure that needs the concrete detector
-    /// behind a `Box<dyn DriftDetector>` (e.g. the serving layer installs
-    /// pooled RBM workspaces into RBM-IM instances at attach time). Stateful
-    /// detectors that want to opt in return `Some(self)`; the default opts
-    /// out, so ordinary detectors need not care.
+    /// Escape hatch for code that needs the concrete detector behind a
+    /// `Box<dyn DriftDetector>` (e.g. a registry test reading an RBM-IM
+    /// network's shape). Stateful detectors that want to opt in return
+    /// `Some(self)`; the default opts out, so ordinary detectors need not
+    /// care.
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         None
     }

@@ -202,7 +202,7 @@ mod tests {
         for inst in &instances[cut..] {
             resumed.step(inst.clone(), &mut sink);
         }
-        let (result, _detector) = resumed.finish("checkpointed", &mut sink);
+        let result = resumed.finish("checkpointed", &mut sink);
         assert_eq!(result.detections, uninterrupted.detections);
         assert_eq!(result.instances, uninterrupted.instances);
         assert_eq!(result.pm_auc, uninterrupted.pm_auc);

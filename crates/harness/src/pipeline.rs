@@ -348,9 +348,7 @@ impl<'a, C: OnlineClassifier> PipelineBuilder<'a, C> {
             stepper.step(instance, &mut emit);
         }
         // `finish` flushes the trailing partial detector batch.
-        let (result, _detector) =
-            stepper.finish(self.stream_label.unwrap_or(schema.name), &mut emit);
-        Ok(result)
+        Ok(stepper.finish(self.stream_label.unwrap_or(schema.name), &mut emit))
     }
 }
 
@@ -531,7 +529,7 @@ fn run_row(
     Ok(steppers
         .into_iter()
         .map(|stepper| {
-            let (result, _detector) = stepper.finish(grid_stream.name.clone(), ignore);
+            let result = stepper.finish(grid_stream.name.clone(), ignore);
             on_cell(&result);
             result
         })

@@ -262,17 +262,15 @@ impl<C: OnlineClassifier> PipelineStepper<C> {
     }
 
     /// Flushes any pending micro-batch (emitting its events) and closes the
-    /// stepper into a [`RunResult`], returning the detector alongside so
-    /// callers can reclaim state (the serving layer returns pooled RBM
-    /// workspaces this way).
+    /// stepper into a [`RunResult`].
     pub fn finish(
         mut self,
         stream_label: impl Into<String>,
         on_event: &mut dyn FnMut(&PipelineEvent<'_>),
-    ) -> (RunResult, Box<dyn DriftDetector + Send>) {
+    ) -> RunResult {
         self.flush(on_event);
         let snapshot = self.evaluator.snapshot();
-        let result = RunResult {
+        RunResult {
             detector: self.detector_label,
             stream: stream_label.into(),
             pm_auc: self.evaluator.average_pm_auc() * 100.0,
@@ -284,14 +282,7 @@ impl<C: OnlineClassifier> PipelineStepper<C> {
             detector_update_seconds: self.detector_update_seconds,
             test_seconds: self.test_seconds,
             train_seconds: self.train_seconds,
-        };
-        (result, self.detector)
-    }
-
-    /// Mutable access to the detector (tests / diagnostics; the serving
-    /// layer uses it to install pooled workspaces after construction).
-    pub fn detector_mut(&mut self) -> &mut (dyn DriftDetector + Send) {
-        &mut *self.detector
+        }
     }
 
     /// The stepper's run configuration.
@@ -413,7 +404,7 @@ mod tests {
             while let Some(instance) = stream.next_instance() {
                 stepper.step(instance, &mut |e| collect_events(e, &mut drifts, &mut warnings));
             }
-            let (stepped, _detector) = stepper.finish(schema.name.clone(), &mut |e| {
+            let stepped = stepper.finish(schema.name.clone(), &mut |e| {
                 collect_events(e, &mut drifts, &mut warnings)
             });
 

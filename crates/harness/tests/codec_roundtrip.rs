@@ -154,7 +154,7 @@ fn binary_checkpoint_resumes_bitwise_identically() {
     for inst in &instances {
         uninterrupted.step(inst.clone(), &mut sink);
     }
-    let (expected, _) = uninterrupted.finish("codec", &mut sink);
+    let expected = uninterrupted.finish("codec", &mut sink);
 
     // Cut misaligned with both batch sizes.
     let cut = 1_951;
@@ -180,7 +180,7 @@ fn binary_checkpoint_resumes_bitwise_identically() {
     for inst in &instances[cut..] {
         resumed.step(inst.clone(), &mut sink);
     }
-    let (result, _) = resumed.finish("codec", &mut sink);
+    let result = resumed.finish("codec", &mut sink);
     assert_eq!(result.detections, expected.detections);
     assert_eq!(result.instances, expected.instances);
     assert_eq!(result.pm_auc, expected.pm_auc);

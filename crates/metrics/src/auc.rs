@@ -14,9 +14,10 @@
 /// Sliding-window multi-class AUC estimator.
 ///
 /// The window is a flat ring: one row of `num_classes` scores per
-/// prediction plus the prediction's true class, so [`record`] copies into
-/// preallocated storage and never touches the allocator once the window
-/// is full.
+/// prediction plus the prediction's true class (as a `u32`: the class
+/// count is checked to fit once, at construction), so [`record`] copies
+/// into preallocated storage and never touches the allocator once the
+/// window is full.
 ///
 /// [`record`]: WindowedMultiClassAuc::record
 #[derive(Debug, Clone)]
@@ -27,7 +28,7 @@ pub struct WindowedMultiClassAuc {
     /// prediction whose true class is `classes[r]`.
     scores: Vec<f64>,
     /// True class of each ring row.
-    classes: Vec<usize>,
+    classes: Vec<u32>,
     /// Ring row of the oldest prediction (0 until the window wraps).
     head: usize,
     /// Number of predictions of each class in the window.
@@ -39,9 +40,11 @@ impl WindowedMultiClassAuc {
     /// `capacity` recent predictions (the paper uses 1000).
     ///
     /// # Panics
-    /// Panics if `num_classes < 2` or `capacity == 0`.
+    /// Panics if `num_classes < 2`, `num_classes` exceeds `u32::MAX` or
+    /// `capacity == 0`.
     pub fn new(num_classes: usize, capacity: usize) -> Self {
         assert!(num_classes >= 2, "need at least two classes");
+        assert!(u32::try_from(num_classes).is_ok(), "class count must fit in a u32");
         assert!(capacity > 0, "window capacity must be > 0");
         WindowedMultiClassAuc {
             num_classes,
@@ -61,15 +64,17 @@ impl WindowedMultiClassAuc {
     pub fn record(&mut self, scores: &[f64], true_class: usize) {
         assert_eq!(scores.len(), self.num_classes, "score vector length mismatch");
         assert!(true_class < self.num_classes, "true class out of range");
+        // Lossless: `true_class < num_classes`, which fits in a u32.
+        let label = true_class as u32;
         if self.classes.len() < self.capacity {
             self.scores.extend_from_slice(scores);
-            self.classes.push(true_class);
+            self.classes.push(label);
         } else {
             let row = self.head;
-            self.class_counts[self.classes[row]] -= 1;
+            self.class_counts[self.classes[row] as usize] -= 1;
             self.scores[row * self.num_classes..(row + 1) * self.num_classes]
                 .copy_from_slice(scores);
-            self.classes[row] = true_class;
+            self.classes[row] = label;
             self.head = if row + 1 == self.capacity { 0 } else { row + 1 };
         }
         self.class_counts[true_class] += 1;
@@ -122,7 +127,11 @@ impl WindowedMultiClassAuc {
             }
             column.clear();
             column.extend(
-                self.scores[i..].iter().step_by(c).copied().zip(self.classes.iter().copied()),
+                self.scores[i..]
+                    .iter()
+                    .step_by(c)
+                    .copied()
+                    .zip(self.classes.iter().map(|&class| class as usize)),
             );
             assert!(column.iter().all(|(s, _)| !s.is_nan()), "scores must not be NaN");
             // `total_cmp` orders -0.0 just below +0.0; the `==` group walk

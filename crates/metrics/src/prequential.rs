@@ -39,8 +39,10 @@ pub struct PrequentialEvaluator {
     window_size: usize,
     auc: WindowedMultiClassAuc,
     window_confusion: StreamingConfusionMatrix,
-    /// Recent (true, predicted) pairs backing the windowed confusion matrix.
-    recent: VecDeque<(usize, usize)>,
+    /// Recent (true, predicted) pairs backing the windowed confusion
+    /// matrix, as `u32`s: the class count is checked to fit at
+    /// construction.
+    recent: VecDeque<(u32, u32)>,
     /// The latest snapshot taken at a window boundary (one is taken every
     /// `window_size` instances; older ones live on only in the sums).
     last: Option<PrequentialSnapshot>,
@@ -55,6 +57,10 @@ pub struct PrequentialEvaluator {
 
 impl PrequentialEvaluator {
     /// Creates an evaluator with the given class count and window size.
+    ///
+    /// # Panics
+    /// Panics if `window_size == 0`, or if the class count is below 2 or
+    /// exceeds `u32::MAX`.
     pub fn new(num_classes: usize, window_size: usize) -> Self {
         assert!(window_size > 0, "window size must be > 0");
         PrequentialEvaluator {
@@ -75,12 +81,14 @@ impl PrequentialEvaluator {
     /// the per-class scores used for AUC.
     pub fn record(&mut self, true_class: usize, predicted_class: usize, scores: &[f64]) {
         self.auc.record(scores, true_class);
+        self.window_confusion.record(true_class, predicted_class);
         if self.recent.len() == self.window_size {
             let (t, p) = self.recent.pop_front().expect("window non-empty");
-            self.window_confusion.unrecord(t, p);
+            self.window_confusion.unrecord(t as usize, p as usize);
         }
-        self.recent.push_back((true_class, predicted_class));
-        self.window_confusion.record(true_class, predicted_class);
+        // Lossless: both classes passed the range checks above, and the
+        // class count fits in a u32.
+        self.recent.push_back((true_class as u32, predicted_class as u32));
         self.count += 1;
         // Sample the windowed metrics once per full window (and once the
         // first window has filled), mirroring MOA's evaluation cadence.
@@ -165,6 +173,8 @@ impl PrequentialEvaluator {
             ("window_size", self.window_size.serialize_value()),
             ("auc", self.auc.snapshot_state()),
             ("window_confusion", self.window_confusion.serialize_value()),
+            // A u32 serializes to the same number a usize does, so the
+            // snapshot (and the checkpoint bytes) match the usize form.
             ("recent", self.recent.serialize_value()),
             ("snapshots", self.last.as_slice().serialize_value()),
             ("count", self.count.serialize_value()),
@@ -194,7 +204,23 @@ impl PrequentialEvaluator {
         if self.window_confusion.num_classes() != self.num_classes {
             return Err(serde::Error::msg("confusion matrix class count mismatch"));
         }
-        self.recent = state.field("recent")?;
+        let recent: Vec<(usize, usize)> = state.field("recent")?;
+        if recent.len() > self.window_size {
+            return Err(serde::Error::msg(format!(
+                "evaluator window holds {} predictions, window size is {}",
+                recent.len(),
+                self.window_size
+            )));
+        }
+        if let Some(&(t, p)) =
+            recent.iter().find(|&&(t, p)| t >= self.num_classes || p >= self.num_classes)
+        {
+            return Err(serde::Error::msg(format!(
+                "evaluator window pair ({t}, {p}) is out of range for {} classes",
+                self.num_classes
+            )));
+        }
+        self.recent = recent.into_iter().map(|(t, p)| (t as u32, p as u32)).collect();
         self.last = state.field::<Vec<PrequentialSnapshot>>("snapshots")?.pop();
         self.count = state.field("count")?;
         self.sum_auc = state.field("sum_auc")?;

@@ -14,8 +14,9 @@
 //!   thread-per-shard discipline) that terminates frames and drives the
 //!   in-process [`ServerHandle`](rbm_im_serve::ServerHandle) /
 //!   [`StreamClient`](rbm_im_serve::StreamClient) seam: attach/detach with
-//!   full detector spec strings, blocking and fail-fast ingest (shard
-//!   backpressure surfaces as a `Busy` reply carrying the rejected count),
+//!   full detector spec strings, blocking and fail-fast ingest (a blocking
+//!   frame waits for shard queue space; a fail-fast one meets a full
+//!   queue with a `Busy` reply carrying the rejected count),
 //!   drain barrier, stream checkpoints, shutdown → final
 //!   [`ServeReport`](rbm_im_serve::ServeReport), and a subscription mode
 //!   streaming the drift-event bus to the client;

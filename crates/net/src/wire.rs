@@ -397,6 +397,9 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
 
 // ---- decoding --------------------------------------------------------------
 
+/// Instances an `Ingest` decode reserves up front, at most (~40 KB).
+const INGEST_RESERVE: usize = 1024;
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -499,15 +502,18 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
                 }
             };
             let count = c.varint()?;
-            // Each instance costs at least 3 bytes; an implausible count is
-            // rejected before any allocation.
-            if count > (c.bytes.len() - c.pos) as u64 {
+            // Each instance costs at least 3 bytes (three one-byte
+            // varints), so a count above a third of the remaining bytes is
+            // rejected before any allocation. Even a plausible count only
+            // reserves a bounded prefix: the body may still break early,
+            // and the vector grows with the instances actually decoded.
+            if count > ((c.bytes.len() - c.pos) / 3) as u64 {
                 return Err(WireError::Malformed(format!(
                     "implausible instance count {count} with {} bytes left",
                     c.bytes.len() - c.pos
                 )));
             }
-            let mut instances = Vec::with_capacity(count as usize);
+            let mut instances = Vec::with_capacity((count as usize).min(INGEST_RESERVE));
             for _ in 0..count {
                 let num_features = c.varint()?;
                 if num_features.checked_mul(8).is_none()

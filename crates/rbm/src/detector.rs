@@ -170,21 +170,6 @@ impl RbmIm {
         &self.config
     }
 
-    /// Installs a (typically pooled) scratch workspace into the underlying
-    /// network, returning the previous one. The serving layer calls this at
-    /// stream attach so a fresh detector inherits the grown buffer capacity
-    /// of every stream its shard served before; see
-    /// [`WorkspacePool`](crate::pool::WorkspacePool).
-    pub fn adopt_workspace(&mut self, ws: crate::network::Workspace) -> crate::network::Workspace {
-        self.network.adopt_workspace(ws)
-    }
-
-    /// Takes the network's scratch workspace out (e.g. back to a pool when
-    /// the stream detaches).
-    pub fn take_workspace(&mut self) -> crate::network::Workspace {
-        self.network.take_workspace()
-    }
-
     /// Total number of drift signals raised so far.
     pub fn drift_count(&self) -> u64 {
         self.drift_count
@@ -411,9 +396,8 @@ impl DriftDetector for RbmIm {
         out.extend_from_slice(&self.drifted);
     }
 
-    /// Opt in to downcasting so infrastructure holding
-    /// `Box<dyn DriftDetector>` (the serving shards) can reach
-    /// [`RbmIm::adopt_workspace`] / [`RbmIm::take_workspace`].
+    /// Opt in to downcasting so code holding `Box<dyn DriftDetector>` can
+    /// reach RBM-IM's own accessors (e.g. [`RbmIm::network`]).
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
     }
@@ -421,7 +405,7 @@ impl DriftDetector for RbmIm {
     /// Complete detector state: the RBM network (weights, momentum, RNG),
     /// every per-class trend tracker (regression window + embedded ADWIN),
     /// the partially filled mini-batch buffer and the drift bookkeeping.
-    /// The network's scratch workspace is rebuilt, never serialized.
+    /// Training scratch belongs to the thread, so none is serialized.
     fn snapshot_state(&self) -> Option<serde::Value> {
         use serde::{Serialize, Value};
         let trackers: Vec<Value> = self.trackers.iter().map(|t| t.snapshot_state()).collect();

@@ -43,7 +43,9 @@
 //!   runs on (and the one shared `softmax_in_place`, re-exported by the
 //!   classifiers crate);
 //! * [`network`] — the three-layer RBM with batch-level CD-k over a
-//!   zero-allocation [`network::Workspace`];
+//!   zero-allocation [`network::Workspace`]: scoring takes a caller-owned
+//!   one, training borrows one per worker thread, so a thread that steps
+//!   many networks keeps one scratch for all of them;
 //! * [`trend`] / [`detector`] — per-class trend tracking and the RBM-IM
 //!   drift rule on top.
 
@@ -52,7 +54,6 @@
 pub mod detector;
 pub mod linalg;
 pub mod network;
-pub mod pool;
 pub mod trend;
 
 #[cfg(test)]
@@ -63,5 +64,4 @@ mod reference;
 pub use detector::{RbmIm, RbmImConfig};
 pub use linalg::DenseMatrix;
 pub use network::{RbmNetwork, RbmNetworkConfig, Workspace};
-pub use pool::WorkspacePool;
 pub use trend::TrendTracker;

@@ -16,7 +16,9 @@
 //! batch is the contiguous SIMD dimension) and the positive phase, the
 //! Gibbs chain, and the reconstruction errors each become a handful of
 //! GEMMs over the whole batch. All scratch lives in a reusable
-//! [`Workspace`], so steady-state training performs zero heap allocations.
+//! [`Workspace`] owned by the calling thread, not by the network, so
+//! steady-state training performs zero heap allocations and a thread that
+//! steps many networks keeps one scratch for all of them.
 //! The kernels fix their accumulation order (see [`crate::linalg`]) and the
 //! Gibbs-chain uniforms are pre-drawn per instance in arrival order, so the
 //! results — including the RNG stream — are bitwise-identical to the
@@ -27,6 +29,7 @@
 //! the free-energy sum — predictions agree with the reference up to
 //! last-ulp rounding of near-exact ties, not bit for bit.
 
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -120,6 +123,11 @@ impl Default for RbmNetworkConfig {
 /// capacity: after the first mini-batch of a given shape, training touches
 /// the allocator exactly zero times (`crates/rbm/tests/no_alloc.rs`
 /// enforces this with a counting allocator).
+///
+/// A workspace holds no model state, so one serves any number of networks
+/// of any shape. Scoring takes a caller-owned workspace
+/// ([`RbmNetwork::reconstruction_errors_flat_with`]); training borrows the
+/// calling thread's own (see [`RbmNetwork::train_flat`]).
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// Normalized visible batch, feature-major `V×N`.
@@ -161,9 +169,26 @@ pub struct Workspace {
     /// Per-class error sums/counts for `batch_reconstruction_errors`.
     err_sums: Vec<f64>,
     err_counts: Vec<usize>,
-    /// Staging buffers for the `MiniBatch`-based entry points.
-    staged_features: Vec<f64>,
-    staged_classes: Vec<usize>,
+}
+
+thread_local! {
+    /// The calling thread's training scratch: one per worker thread, shared
+    /// by every network the thread steps and grown to the largest batch
+    /// shape it has seen.
+    static THREAD_SCRATCH: Cell<Workspace> = Cell::new(Workspace::default());
+}
+
+/// Runs `f` on the calling thread's scratch [`Workspace`]. The slot is
+/// taken for the call and put back after it, so a re-entrant call finds it
+/// empty and works on a fresh workspace rather than a shared one; during
+/// thread teardown a temporary workspace serves.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
+    let Ok(mut ws) = THREAD_SCRATCH.try_with(Cell::take) else {
+        return f(&mut Workspace::default());
+    };
+    let out = f(&mut ws);
+    let _ = THREAD_SCRATCH.try_with(|slot| slot.set(ws));
+    out
 }
 
 /// The three-layer RBM on flat storage.
@@ -195,7 +220,6 @@ pub struct RbmNetwork {
     feature_max: Vec<f64>,
     rng: StdRng,
     batches_trained: u64,
-    workspace: Workspace,
 }
 
 impl RbmNetwork {
@@ -233,7 +257,6 @@ impl RbmNetwork {
             feature_max: vec![f64::NEG_INFINITY; num_features],
             rng,
             batches_trained: 0,
-            workspace: Workspace::default(),
         }
     }
 
@@ -437,33 +460,11 @@ impl RbmNetwork {
         kept
     }
 
-    /// Stages a `MiniBatch` into flat buffers and hands it to `run`.
-    fn with_staged<R>(
-        &mut self,
-        batch: &MiniBatch,
-        run: impl FnOnce(&mut Self, &[f64], &[usize]) -> R,
-    ) -> R {
-        let mut features = std::mem::take(&mut self.workspace.staged_features);
-        let mut classes = std::mem::take(&mut self.workspace.staged_classes);
-        features.clear();
-        classes.clear();
-        for instance in &batch.instances {
-            assert_eq!(instance.features.len(), self.num_visible, "feature count mismatch");
-            features.extend_from_slice(&instance.features);
-            classes.push(instance.class);
-        }
-        let out = run(self, &features, &classes);
-        self.workspace.staged_features = features;
-        self.workspace.staged_classes = classes;
-        out
-    }
-
     /// Reconstruction error of a single labeled instance (Eq. 22–26): the
     /// root of the summed squared differences between the instance (features
     /// plus one-hot label) and its reconstruction, scored against
     /// caller-owned scratch. Scoring never mutates the model, so read paths
-    /// never need `&mut` access to the network and one [`Workspace`] (e.g.
-    /// checked out of a [`WorkspacePool`](crate::pool::WorkspacePool)) can
+    /// never need `&mut` access to the network and one [`Workspace`] can
     /// serve any number of networks. Allocation-free once `ws` has grown to
     /// the largest shape it has seen. This is the only single-instance
     /// scoring surface — the old `&mut self` variant that borrowed the
@@ -506,8 +507,8 @@ impl RbmNetwork {
     /// the per-class detection pass (Eq. 27) — against caller-owned scratch:
     /// `features` holds `classes.len()` rows of `num_features` values;
     /// classes absent from the batch yield `None`. Scoring never mutates
-    /// the model, so concurrent read paths can share one network and pool
-    /// their workspaces. Clears and fills `out`; allocation-free once `out`
+    /// the model, so concurrent read paths can share one network, each with
+    /// its own workspace. Clears and fills `out`; allocation-free once `out`
     /// and the workspace have grown to shape. This is the only batch
     /// scoring surface — the old `&mut self` variants
     /// (`batch_reconstruction_errors`, `reconstruction_errors_flat_into`)
@@ -567,24 +568,24 @@ impl RbmNetwork {
     /// and skips `train_flat`'s diagnostic error sum. When the batch widens
     /// a normalization range, `v0` is re-packed and `h0` recomputed; the
     /// transposes stay valid because the weights have not changed yet.
-    /// Allocation-free once the workspace and `out` have grown to shape.
+    /// Runs on the calling thread's scratch, like [`RbmNetwork::train_flat`].
+    /// Allocation-free once that scratch and `out` have grown to shape.
     pub fn score_and_train_flat(
         &mut self,
         features: &[f64],
         classes: &[usize],
         out: &mut Vec<Option<f64>>,
     ) {
-        let mut workspace = std::mem::take(&mut self.workspace);
-        let ws = &mut workspace;
-        let kept = self.score_in(ws, features, classes, out);
-        if !classes.is_empty() {
-            if self.observe_batch(features, classes) {
-                self.pack_batch_in(ws, features, classes);
-                self.positive_phase_in(ws, kept);
+        with_thread_scratch(|ws| {
+            let kept = self.score_in(ws, features, classes, out);
+            if !classes.is_empty() {
+                if self.observe_batch(features, classes) {
+                    self.pack_batch_in(ws, features, classes);
+                    self.positive_phase_in(ws, kept);
+                }
+                self.train_packed_in(ws, kept, classes.len());
             }
-            self.train_packed_in(ws, kept, classes.len());
-        }
-        self.workspace = workspace;
+        })
     }
 
     /// Refreshes the cached transposes `wᵀ` / `uᵀ` from the current weights
@@ -629,19 +630,27 @@ impl RbmNetwork {
     /// Trains the network on one mini-batch with CD-k and the class-balanced
     /// loss (Eq. 16–21). Returns the mean (weighted) reconstruction error of
     /// the batch before the update, which doubles as a cheap training
-    /// diagnostic.
+    /// diagnostic. Flattens the batch into fresh buffers first; the
+    /// allocation-free hot path is [`RbmNetwork::train_flat`].
     pub fn train_batch(&mut self, batch: &MiniBatch) -> f64 {
-        if batch.is_empty() {
-            return 0.0;
+        let mut features = Vec::with_capacity(batch.instances.len() * self.num_visible);
+        let mut classes = Vec::with_capacity(batch.instances.len());
+        for instance in &batch.instances {
+            assert_eq!(instance.features.len(), self.num_visible, "feature count mismatch");
+            features.extend_from_slice(&instance.features);
+            classes.push(instance.class);
         }
-        self.with_staged(batch, |net, features, classes| net.train_flat(features, classes))
+        self.train_flat(&features, &classes)
     }
 
     /// Flat-batch trainer: `features` holds `classes.len()` rows of
     /// `num_features` values each (row-major). This is the batched CD-k hot
     /// path — the detector feeds its internal mini-batch buffer here without
     /// materializing any `Instance`. Steady state performs zero heap
-    /// allocations: all scratch lives in the [`Workspace`].
+    /// allocations: all scratch lives in the calling thread's [`Workspace`],
+    /// which every network trained on that thread shares. The workspace
+    /// holds no model state, so results never depend on which thread trains
+    /// or what it trained before.
     pub fn train_flat(&mut self, features: &[f64], classes: &[usize]) -> f64 {
         let n_total = classes.len();
         if n_total == 0 {
@@ -659,25 +668,21 @@ impl RbmNetwork {
         // reflect the batch about to be learned.
         self.observe_batch(features, classes);
 
-        // The scratch workspace is moved out for the duration of the batch
-        // (and moved back below) so the batched kernels can borrow it
-        // mutably alongside `&self` model state — the same mechanism that
-        // lets the scoring paths run on caller-owned workspaces.
-        let mut workspace = std::mem::take(&mut self.workspace);
-        let ws = &mut workspace;
-        let kept = self.pack_batch_in(ws, features, classes);
-        self.refresh_transposes_in(ws);
-        self.positive_phase_in(ws, kept);
-        self.train_packed_in(ws, kept, n_total);
+        let total_error = with_thread_scratch(|ws| {
+            let kept = self.pack_batch_in(ws, features, classes);
+            self.refresh_transposes_in(ws);
+            self.positive_phase_in(ws, kept);
+            self.train_packed_in(ws, kept, n_total);
 
-        // Diagnostic: the class-weighted error between the batch and its
-        // Gibbs-chain reconstruction (the parameter update leaves `vk`/`zk`
-        // untouched).
-        let mut total_error = 0.0;
-        for n in 0..kept {
-            total_error += ws.instance_weights[n] * self.packed_column_error_in(ws, n).sqrt();
-        }
-        self.workspace = workspace;
+            // Diagnostic: the class-weighted error between the batch and its
+            // Gibbs-chain reconstruction (the parameter update leaves
+            // `vk`/`zk` untouched).
+            let mut total_error = 0.0;
+            for n in 0..kept {
+                total_error += ws.instance_weights[n] * self.packed_column_error_in(ws, n).sqrt();
+            }
+            total_error
+        });
         total_error / n_total as f64
     }
 
@@ -806,40 +811,19 @@ impl RbmNetwork {
         self.batches_trained += 1;
     }
 
-    /// Installs `ws` as the network's internal scratch workspace, returning
-    /// the previous one. A workspace checked out of a
-    /// [`WorkspacePool`](crate::pool::WorkspacePool) carries the grown
-    /// buffer capacities of every batch shape it has ever processed, so a
-    /// freshly attached detector adopting a pooled workspace skips the
-    /// warm-up allocations entirely.
-    pub fn adopt_workspace(&mut self, ws: Workspace) -> Workspace {
-        std::mem::replace(&mut self.workspace, ws)
-    }
-
-    /// Takes the internal scratch workspace out of the network (leaving an
-    /// empty one behind), e.g. to return it to a
-    /// [`WorkspacePool`](crate::pool::WorkspacePool) when the network is
-    /// dropped.
-    pub fn take_workspace(&mut self) -> Workspace {
-        std::mem::take(&mut self.workspace)
-    }
-
     /// Forgets everything (used when the harness fully reinitializes the
-    /// detector). The scratch workspace — pure capacity, no model state —
-    /// is carried over so adopted/pooled buffers survive resets.
+    /// detector).
     pub fn reset(&mut self) {
-        let ws = std::mem::take(&mut self.workspace);
         *self = RbmNetwork::new(self.num_visible, self.num_classes, self.config);
-        self.workspace = ws;
     }
 
     /// Captures the network's complete mutable state — weights, biases,
     /// momentum buffers, class counts, normalization ranges, the RNG state
     /// (as lossless hex words) and the batch counter — as a serde value.
-    /// The scratch [`Workspace`] is pure capacity and is **never**
-    /// serialized; a restored network keeps (or rebuilds) its own. Restored
-    /// with [`RbmNetwork::restore_state`] onto a network built with the
-    /// same shape and configuration, training and scoring continue
+    /// Scratch belongs to the training thread, not the network, so none of
+    /// it is serialized. Restored with [`RbmNetwork::restore_state`] onto
+    /// a network built with the same shape and configuration, training and
+    /// scoring continue
     /// **bitwise identically** — including the Gibbs-chain RNG stream — to
     /// a network that was never checkpointed.
     pub fn snapshot_state(&self) -> serde::Value {
@@ -865,8 +849,7 @@ impl RbmNetwork {
     }
 
     /// Restores state captured by [`RbmNetwork::snapshot_state`]. Fails if
-    /// the snapshot was taken at a different layer shape. The internal
-    /// scratch workspace is left untouched (it holds no model state).
+    /// the snapshot was taken at a different layer shape.
     pub fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
         let num_visible: usize = state.field("num_visible")?;
         let num_hidden: usize = state.field("num_hidden")?;

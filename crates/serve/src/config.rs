@@ -87,12 +87,14 @@ pub struct TierPolicy {
 }
 
 impl TierPolicy {
-    /// Engineering estimate of one hot stream's resident footprint
-    /// (pipeline state + metric windows + amortized workspace scratch),
-    /// anchored on the repository benchmark's `checkpoint.bytes` (~106 KB
-    /// of binary checkpoint for a warmed `rbm` + `adwin` pair of streams)
-    /// with headroom for the live (un-packed) representation. Used by
-    /// [`TierPolicy::budget_bytes`].
+    /// Engineering estimate of one hot stream's resident footprint: its
+    /// stepper (classifier, detector, metric windows). Measured on streams
+    /// warmed on 2,000 `RBF5` instances (detector batch 50, window 1000):
+    /// 84,436 heap bytes for `rbm(minibatch=50)` and 65,813 for `adwin`.
+    /// RBM training scratch is not per stream: each shard worker thread
+    /// keeps one (37,312 bytes for `RBF5`) for all its streams.
+    /// `tests/footprint.rs` recounts these figures and pins each stepper
+    /// under this estimate. Used by [`TierPolicy::budget_bytes`].
     pub const APPROX_HOT_STREAM_BYTES: u64 = 96 * 1024;
 
     /// Idle-age-only policy: evict after `idle_after` without a hot cap.

@@ -84,10 +84,9 @@ pub enum ServeEventKind {
         urgent: bool,
     },
     /// The stream's in-memory pipeline state was evicted to its binary
-    /// checkpoint (the cold tier): its workspace scratch returned to the
-    /// shard pool and only the checkpoint handle stays resident. The
-    /// stream remains attached — the next ingest or detach transparently
-    /// rehydrates it, bitwise-identically.
+    /// checkpoint (the cold tier): only the checkpoint handle stays
+    /// resident. The stream remains attached — the next ingest or detach
+    /// transparently rehydrates it, bitwise-identically.
     Hibernated {
         /// Instances the cold checkpoint covers (its resume offset).
         position: u64,

@@ -11,9 +11,9 @@
 //! * each shard is a **dedicated worker thread** exclusively owning its
 //!   streams' pipeline state: classifier, detector (any registry
 //!   [`DetectorSpec`](rbm_im_harness::registry::DetectorSpec)), prequential
-//!   evaluator, plus a per-shard
-//!   [`WorkspacePool`](rbm_im::pool::WorkspacePool) of RBM scratch
-//!   workspaces reused across the shard's streams;
+//!   evaluator. The worker thread also owns the one RBM training scratch
+//!   (`rbm_im::Workspace`) that all its RBM streams borrow in turn, so a
+//!   hot stream carries model state only;
 //! * ingest flows through **bounded MPSC channels**:
 //!   [`StreamClient::try_ingest`] fails
 //!   fast with [`IngestError::Full`] when a
@@ -53,11 +53,11 @@
 //! * stream state is **tiered**: under a supervisor [`TierPolicy`] (or an
 //!   explicit [`ServerHandle::hibernate_stream`]), idle streams'
 //!   in-memory pipeline state is evicted to their binary checkpoint —
-//!   reusing the freshest background spill when clean — and workspace
-//!   scratch returns to the shard pool, so fleets far larger than RAM
-//!   would allow stay attached in a bounded hot-tier budget; the next
-//!   ingest, checkpoint or detach rehydrates transparently and
-//!   bitwise-identically (`tests/hibernate.rs`, `ARCHITECTURE.md` §9);
+//!   reusing the freshest background spill when clean — so fleets far
+//!   larger than RAM would allow stay attached in a bounded hot-tier
+//!   budget; the next ingest, checkpoint or detach rehydrates
+//!   transparently and bitwise-identically (`tests/hibernate.rs`,
+//!   `ARCHITECTURE.md` §9);
 //! * the durability stack is **proven under attack**: a deterministic,
 //!   seed-driven fault-injection plane ([`chaos`]) threads kill-shard
 //!   panics, spill I/O faults (via the sink's injectable [`SpillIo`]

@@ -209,11 +209,6 @@ pub struct ServeReport {
     /// protocol-defect triage does not stop at a single opaque total. The
     /// categories sum to `frames_dropped`.
     pub frames_dropped_by: FrameDropBreakdown,
-    /// Workspace-pool checkouts served by reuse across all shards
-    /// (including shards retired by resizes).
-    pub workspace_reuse_hits: u64,
-    /// Workspace-pool checkouts that had to allocate a fresh workspace.
-    pub workspace_reuse_misses: u64,
     /// Shard workers that panicked before shutdown. A non-zero value means
     /// the panicked shards' stream summaries (and diagnostics counters) are
     /// **missing** from this report — callers aggregating fleet results
@@ -465,8 +460,6 @@ impl ServerInner {
 struct RetiredStats {
     summaries: Vec<StreamSummary>,
     dropped_unknown: u64,
-    workspace_reuse_hits: u64,
-    workspace_reuse_misses: u64,
     panicked_shards: usize,
 }
 
@@ -853,9 +846,9 @@ impl ServerHandle {
     }
 
     /// Detaches a stream: its trailing micro-batch is flushed (events
-    /// included), its pooled workspace reclaimed, and its final summary
-    /// returned. Instances of that id still queued behind the detach marker
-    /// are dropped (counted in [`ServeReport::dropped_unknown`]).
+    /// included) and its final summary returned. Instances of that id
+    /// still queued behind the detach marker are dropped (counted in
+    /// [`ServeReport::dropped_unknown`]).
     pub fn detach(&self, stream_id: &str) -> Result<RunResult, ServeError> {
         let _guard = self.control.lock().expect("control lock poisoned");
         let (reply_tx, reply_rx) = channel();
@@ -889,9 +882,8 @@ impl ServerHandle {
 
     /// Hibernates one attached stream: its live pipeline state is encoded
     /// to its binary checkpoint (held in memory until the supervisor's
-    /// next spill demotes it to disk), its workspace scratch returns to
-    /// the shard pool, and the stream stays attached — the next ingest,
-    /// checkpoint or detach transparently rehydrates it,
+    /// next spill demotes it to disk), and the stream stays attached —
+    /// the next ingest, checkpoint or detach transparently rehydrates it,
     /// bitwise-identically. Normally the supervisor's
     /// [`TierPolicy`](crate::config::TierPolicy) drives this; the manual
     /// entry point exists for explicit cold-start flows (attach a large
@@ -1331,8 +1323,6 @@ impl ServerHandle {
                         // after a failed migration.
                         retired.summaries.extend(shard_report.summaries);
                         retired.dropped_unknown += shard_report.dropped_unknown;
-                        retired.workspace_reuse_hits += shard_report.workspace_reuse_hits;
-                        retired.workspace_reuse_misses += shard_report.workspace_reuse_misses;
                     }
                     Err(_) => retired.panicked_shards += 1,
                 }
@@ -1375,8 +1365,6 @@ impl ServerHandle {
                 Ok(report) => {
                     retired.summaries.extend(report.summaries);
                     retired.dropped_unknown += report.dropped_unknown;
-                    retired.workspace_reuse_hits += report.workspace_reuse_hits;
-                    retired.workspace_reuse_misses += report.workspace_reuse_misses;
                 }
                 Err(_) => retired.panicked_shards += 1,
             }
@@ -1427,8 +1415,6 @@ impl ServerHandle {
             dropped_unknown: retired.dropped_unknown,
             frames_dropped: 0,
             frames_dropped_by: FrameDropBreakdown::default(),
-            workspace_reuse_hits: retired.workspace_reuse_hits,
-            workspace_reuse_misses: retired.workspace_reuse_misses,
             panicked_shards: retired.panicked_shards,
         };
         let joins = self.joins.into_inner().expect("joins lock poisoned");
@@ -1439,8 +1425,6 @@ impl ServerHandle {
                 Ok(shard_report) => {
                     report.streams.extend(shard_report.summaries);
                     report.dropped_unknown += shard_report.dropped_unknown;
-                    report.workspace_reuse_hits += shard_report.workspace_reuse_hits;
-                    report.workspace_reuse_misses += shard_report.workspace_reuse_misses;
                 }
                 Err(_) => {
                     // A panicked shard loses its streams' summaries; the

@@ -2,11 +2,12 @@
 //! the streams routed to it.
 //!
 //! A shard is a plain loop over its bounded ingest channel. All state —
-//! classifier, detector, prequential evaluator, and the pooled RBM scratch
-//! [`Workspace`](rbm_im::Workspace)s — lives on the worker thread;
-//! correctness needs no locks because nothing is shared. Per-stream
-//! instance order is the channel order, so results are independent of how
-//! streams interleave: every stream steps through exactly the code a
+//! classifier, detector, prequential evaluator, and the one RBM training
+//! scratch (`rbm_im::Workspace`) that every RBM stream on the shard
+//! borrows in turn — lives on the worker thread; correctness needs no
+//! locks because nothing is shared. Per-stream instance order is the
+//! channel order, so results are independent of how streams interleave:
+//! every stream steps through exactly the code a
 //! sequential [`PipelineBuilder`](rbm_im_harness::pipeline::PipelineBuilder)
 //! run executes ([`PipelineStepper`]).
 //!
@@ -35,8 +36,7 @@
 //! checkpoint — as in-memory bytes right after a dirty eviction, or as a
 //! path into the spill directory once the supervisor has demoted it to
 //! disk. `Hibernate` evicts (reusing the caller's fresh spill when the
-//! positions match, encoding on demand otherwise) and returns the
-//! stream's workspace scratch to the shard pool; ingest, detach and
+//! positions match, encoding on demand otherwise); ingest, detach and
 //! shutdown transparently rehydrate through the same codec path the
 //! migration protocol uses, so a hibernated stream is observationally
 //! identical to a hot one — bitwise.
@@ -44,9 +44,6 @@
 use crate::chaos::FaultPlane;
 use crate::event::{EventBus, ServeEvent, ServeEventKind};
 use crate::server::{HibernateOutcome, ServeError, StreamCheckpoint, StreamSummary};
-use rbm_im::pool::WorkspacePool;
-use rbm_im::RbmIm;
-use rbm_im_detectors::DriftDetector;
 use rbm_im_harness::checkpoint::codec::{self, CheckpointCodec};
 use rbm_im_harness::checkpoint::PipelineCheckpoint;
 use rbm_im_harness::pipeline::{RunConfig, RunResult};
@@ -343,9 +340,6 @@ struct StreamState {
     schema: StreamSchema,
     spec: DetectorSpec,
     run: RunConfig,
-    /// Whether the detector adopted a pooled workspace at attach (and must
-    /// return it at close).
-    pooled_workspace: bool,
     /// Per-stream step-timing histogram
     /// (`rbm_serve_stream_step_seconds{stream}`), bound at attach/restore
     /// so the hot path records through the handle without any lookup.
@@ -363,8 +357,6 @@ struct StreamState {
 pub(crate) struct ShardReport {
     pub summaries: Vec<StreamSummary>,
     pub dropped_unknown: u64,
-    pub workspace_reuse_hits: u64,
-    pub workspace_reuse_misses: u64,
 }
 
 /// The worker owning one shard's streams.
@@ -377,11 +369,6 @@ pub(crate) struct ShardWorker {
     streams: HashMap<Arc<str>, StreamSlot>,
     /// Ingest buffers of parked stream ids (migration in flight).
     parked: HashMap<Arc<str>, Vec<Instance>>,
-    /// RBM scratch workspaces pooled across this shard's streams: attach
-    /// checks one out, detach returns it, so successive streams inherit
-    /// grown buffer capacity instead of re-allocating (`rbm_im::pool`).
-    /// Hibernation returns the evicted stream's workspace here too.
-    pool: WorkspacePool,
     /// Instances ingested for ids with no attached pipeline (dropped).
     dropped_unknown: u64,
     /// The server's metrics registry (per-stream histograms register here
@@ -457,7 +444,6 @@ impl ShardWorker {
             gauge,
             streams: HashMap::new(),
             parked: HashMap::new(),
-            pool: WorkspacePool::new(),
             dropped_unknown: 0,
             metrics,
             ingest_latency,
@@ -636,52 +622,7 @@ impl ShardWorker {
                 }
             }
         }
-        ShardReport {
-            summaries,
-            dropped_unknown: self.dropped_unknown,
-            workspace_reuse_hits: self.pool.reuse_hits(),
-            workspace_reuse_misses: self.pool.reuse_misses(),
-        }
-    }
-
-    /// Builds a stream's pipeline state (shared by `Attach` and `Restore`):
-    /// stepper from the spec, pooled RBM workspace adopted when the
-    /// detector is RBM-family.
-    fn build_stream(
-        &mut self,
-        schema: &StreamSchema,
-        spec: &DetectorSpec,
-        run: RunConfig,
-    ) -> Result<(PipelineStepper, bool), ServeError> {
-        let mut stepper = PipelineStepper::from_spec(&self.registry, spec, schema, run)
-            .map_err(ServeError::from)?;
-        // RBM-family detectors adopt a pooled scratch workspace so a new
-        // stream inherits the buffer capacity grown by its predecessors.
-        let pooled_workspace = match stepper.detector_mut().as_any_mut() {
-            Some(any) => match any.downcast_mut::<RbmIm>() {
-                Some(rbm) => {
-                    // The replaced workspace is the detector's pristine
-                    // (capacity-free) one; nothing worth pooling.
-                    let _ = rbm.adopt_workspace(self.pool.checkout());
-                    true
-                }
-                None => false,
-            },
-            None => false,
-        };
-        Ok((stepper, pooled_workspace))
-    }
-
-    /// Returns a state's pooled workspace to the shard pool (if it
-    /// adopted one) — shared by close, extract and hibernate.
-    fn reclaim_workspace(&mut self, state: &mut StreamState) {
-        if state.pooled_workspace {
-            if let Some(rbm) =
-                state.stepper.detector_mut().as_any_mut().and_then(|a| a.downcast_mut::<RbmIm>())
-            {
-                self.pool.restore(rbm.take_workspace());
-            }
-        }
+        ShardReport { summaries, dropped_unknown: self.dropped_unknown }
     }
 
     fn attach(
@@ -694,7 +635,7 @@ impl ShardWorker {
         if self.streams.contains_key(&id) {
             return Err(ServeError::AlreadyAttached(id.to_string()));
         }
-        let (stepper, pooled_workspace) = self.build_stream(&schema, &spec, run)?;
+        let stepper = PipelineStepper::from_spec(&self.registry, &spec, &schema, run)?;
         self.bus.publish(ServeEvent {
             stream: Arc::clone(&id),
             shard: self.index,
@@ -709,7 +650,6 @@ impl ShardWorker {
                 schema,
                 spec,
                 run,
-                pooled_workspace,
                 step_latency,
                 last_active: Instant::now(),
             })),
@@ -849,12 +789,8 @@ impl ShardWorker {
                     };
                     ColdHandle::Memory(codec::encode(CheckpointCodec::Binary, &checkpoint))
                 };
-                let Some(StreamSlot::Hot(mut state)) = self.streams.remove(id) else {
-                    unreachable!("slot checked hot above");
-                };
-                self.reclaim_workspace(&mut state);
-                drop(state);
                 self.cold_bytes.add(handle.resident_bytes() as i64);
+                // Replacing the hot slot drops the stream's live state.
                 self.streams.insert(
                     Arc::clone(id),
                     StreamSlot::Cold(ColdStream { handle, position, since: Instant::now() }),
@@ -886,17 +822,13 @@ impl ShardWorker {
         };
         let started = Instant::now();
         let StreamCheckpoint { checkpoint, .. } = checkpoint;
-        let (mut stepper, pooled_workspace) =
-            self.build_stream(&checkpoint.schema, &checkpoint.spec, checkpoint.run)?;
+        let mut stepper = PipelineStepper::from_spec(
+            &self.registry,
+            &checkpoint.spec,
+            &checkpoint.schema,
+            checkpoint.run,
+        )?;
         if let Err(e) = stepper.restore_state(&checkpoint.state) {
-            // Reclaim the pooled workspace before the stepper is dropped.
-            if pooled_workspace {
-                if let Some(rbm) =
-                    stepper.detector_mut().as_any_mut().and_then(|a| a.downcast_mut::<RbmIm>())
-                {
-                    self.pool.restore(rbm.take_workspace());
-                }
-            }
             return Err(ServeError::Checkpoint(e.to_string()));
         }
         let position = stepper.instances();
@@ -908,7 +840,6 @@ impl ShardWorker {
                 schema: checkpoint.schema,
                 spec: checkpoint.spec,
                 run: checkpoint.run,
-                pooled_workspace,
                 step_latency,
                 last_active: Instant::now(),
             })),
@@ -938,9 +869,8 @@ impl ShardWorker {
     /// Removes a stream and packages it for migration. The park entry is
     /// kept (emptied) so ingest that arrives between the extract and the
     /// topology swap keeps buffering; `Unpark` later collects those
-    /// stragglers. The stream's pooled workspace stays in *this* shard's
-    /// pool — scratch carries no state and the target adopts its own.
-    /// A cold stream leaves as its checkpoint handle, unrehydrated.
+    /// stragglers. A cold stream leaves as its checkpoint handle,
+    /// unrehydrated.
     fn extract(&mut self, id: &Arc<str>) -> Result<MigrationBundle, ServeError> {
         let Some(slot) = self.streams.remove(id) else {
             return Err(ServeError::UnknownStream(id.to_string()));
@@ -958,7 +888,7 @@ impl ShardWorker {
                     parked,
                 })
             }
-            StreamSlot::Hot(mut state) => {
+            StreamSlot::Hot(state) => {
                 let snapshot = match state.stepper.state_snapshot() {
                     Ok(snapshot) => snapshot,
                     Err(e) => {
@@ -975,7 +905,6 @@ impl ShardWorker {
                     state: snapshot,
                 };
                 let parked = parked_of(&mut self.parked);
-                self.reclaim_workspace(&mut state);
                 self.tier_hot.add(-1);
                 Ok(MigrationBundle { state: BundleState::Hot(checkpoint), parked })
             }
@@ -1082,29 +1011,24 @@ impl ShardWorker {
         kind: RestoreKind,
         rehydrated_at: Option<Instant>,
     ) -> Result<(), RestoreFailure> {
-        let (mut stepper, pooled_workspace) =
-            match self.build_stream(&checkpoint.schema, &checkpoint.spec, checkpoint.run) {
-                Ok(built) => built,
-                Err(error) => {
-                    return Err(RestoreFailure {
-                        error,
-                        bundle: Some(Box::new(MigrationBundle {
-                            state: BundleState::Hot(checkpoint),
-                            parked,
-                        })),
-                    });
-                }
-            };
-        if let Err(e) = stepper.restore_state(&checkpoint.state) {
-            // Reclaim the pooled workspace before the stepper is dropped —
-            // a rejected snapshot must not leak pool capacity.
-            if pooled_workspace {
-                if let Some(rbm) =
-                    stepper.detector_mut().as_any_mut().and_then(|a| a.downcast_mut::<RbmIm>())
-                {
-                    self.pool.restore(rbm.take_workspace());
-                }
+        let mut stepper = match PipelineStepper::from_spec(
+            &self.registry,
+            &checkpoint.spec,
+            &checkpoint.schema,
+            checkpoint.run,
+        ) {
+            Ok(built) => built,
+            Err(error) => {
+                return Err(RestoreFailure {
+                    error: error.into(),
+                    bundle: Some(Box::new(MigrationBundle {
+                        state: BundleState::Hot(checkpoint),
+                        parked,
+                    })),
+                });
             }
+        };
+        if let Err(e) = stepper.restore_state(&checkpoint.state) {
             return Err(RestoreFailure {
                 error: ServeError::Checkpoint(e.to_string()),
                 bundle: Some(Box::new(MigrationBundle {
@@ -1123,7 +1047,6 @@ impl ShardWorker {
                 schema: checkpoint.schema,
                 spec: checkpoint.spec,
                 run: checkpoint.run,
-                pooled_workspace,
                 step_latency,
                 last_active: Instant::now(),
             })),
@@ -1153,8 +1076,8 @@ impl ShardWorker {
     }
 
     /// Flushes the stream's trailing detector micro-batch (emitting its
-    /// events), reclaims a pooled workspace, publishes the `Detached`
-    /// event and returns the final summary.
+    /// events), publishes the `Detached` event and returns the final
+    /// summary.
     fn close_stream(&mut self, id: &Arc<str>, state: StreamState) -> RunResult {
         let bus = &self.bus;
         let shard = self.index;
@@ -1165,12 +1088,7 @@ impl ShardWorker {
                 kind: ServeEventKind::from_pipeline(event),
             });
         };
-        let (result, mut detector) = state.stepper.finish(id.to_string(), &mut on_event);
-        if state.pooled_workspace {
-            if let Some(rbm) = detector.as_any_mut().and_then(|any| any.downcast_mut::<RbmIm>()) {
-                self.pool.restore(rbm.take_workspace());
-            }
-        }
+        let result = state.stepper.finish(id.to_string(), &mut on_event);
         self.tier_hot.add(-1);
         self.bus.publish(ServeEvent {
             stream: Arc::clone(id),

@@ -367,40 +367,6 @@ fn try_ingest_reports_backpressure_on_a_full_queue() {
     assert_eq!(report.streams[0].result.instances, 1 + capacity as u64);
 }
 
-/// Shard workspace pooling: successive RBM streams on a shard reuse the
-/// scratch workspace a detached predecessor returned.
-#[test]
-fn rbm_workspaces_are_pooled_across_streams_on_a_shard() {
-    let server = ServerHandle::start(ServeConfig {
-        num_shards: 1,
-        run: run_config(25),
-        ..Default::default()
-    });
-    let spec = DetectorSpec::parse("rbm(mini_batch=25)").unwrap();
-    let mut gen = RandomRbfGenerator::new(5, 3, 2, 0.0, 3);
-    let schema = gen.schema().clone();
-
-    let first = server.attach("pool-a", schema.clone(), &spec).unwrap();
-    ingest_all(&first, gen.take_instances(200));
-    server.drain();
-    server.detach("pool-a").unwrap();
-
-    let second = server.attach("pool-b", schema.clone(), &spec).unwrap();
-    ingest_all(&second, gen.take_instances(200));
-    server.drain();
-    let report = server.shutdown();
-
-    assert_eq!(report.workspace_reuse_misses, 1, "only the first attach allocates");
-    if std::env::var("RBM_HIBERNATE").is_ok() {
-        // Forced hibernation thrashes the pool (every message returns the
-        // workspace and checks it out again), so only the lower bound and
-        // the single-allocation invariant above are meaningful.
-        assert!(report.workspace_reuse_hits >= 1, "pool-a's workspace is reused");
-    } else {
-        assert_eq!(report.workspace_reuse_hits, 1, "the second attach reuses pool-a's workspace");
-    }
-}
-
 /// Attach/detach lifecycle errors and unknown-id ingest accounting.
 #[test]
 fn lifecycle_errors_and_unknown_ingest_are_surfaced() {

@@ -148,10 +148,9 @@ fn main() {
     let total = report.total_instances();
     println!("\nprocessed {total} instances in {serve_seconds:.2}s ");
     println!(
-        "  ({:.0} instances/s end-to-end, {} drift events, {} reused workspaces)",
+        "  ({:.0} instances/s end-to-end, {} drift events)",
         total as f64 / serve_seconds,
         total_drifts,
-        report.workspace_reuse_hits,
     );
 
     // Fleet summary: the five feeds with the most drift signals.
