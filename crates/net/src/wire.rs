@@ -634,12 +634,6 @@ pub fn event_to_value(event: &ServeEvent) -> Value {
             fields.push(("kind", Value::String("migrated".into())));
             fields.push(("from_shard", from_shard.serialize_value()));
         }
-        ServeEventKind::ResizeDecision { old_shards, new_shards, mean_queued_instances } => {
-            fields.push(("kind", Value::String("resize_decision".into())));
-            fields.push(("old_shards", old_shards.serialize_value()));
-            fields.push(("new_shards", new_shards.serialize_value()));
-            fields.push(("mean_queued_instances", mean_queued_instances.serialize_value()));
-        }
         ServeEventKind::CheckpointSpilled { position, urgent } => {
             fields.push(("kind", Value::String("checkpoint_spilled".into())));
             fields.push(("position", position.serialize_value()));
@@ -676,11 +670,6 @@ pub fn event_from_value(value: &Value) -> Result<ServeEvent, WireError> {
         },
         "detached" => ServeEventKind::Detached { result: value.field("result")? },
         "migrated" => ServeEventKind::Migrated { from_shard: value.field("from_shard")? },
-        "resize_decision" => ServeEventKind::ResizeDecision {
-            old_shards: value.field("old_shards")?,
-            new_shards: value.field("new_shards")?,
-            mean_queued_instances: value.field("mean_queued_instances")?,
-        },
         "checkpoint_spilled" => ServeEventKind::CheckpointSpilled {
             position: value.field("position")?,
             urgent: value.field("urgent")?,
@@ -789,15 +778,6 @@ mod tests {
                         accuracy: 0.9,
                         kappa: 0.75,
                     },
-                },
-            },
-            ServeEvent {
-                stream: Arc::from(""),
-                shard: 4,
-                kind: ServeEventKind::ResizeDecision {
-                    old_shards: 2,
-                    new_shards: 4,
-                    mean_queued_instances: 812.5,
                 },
             },
             ServeEvent {

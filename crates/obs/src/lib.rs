@@ -29,7 +29,7 @@
 //! gated by [`enabled`] — off by default, switched on with `RBM_OBS=on`
 //! or programmatically via [`force_enabled`]. Structural counters
 //! (frames dropped, queue gauges) are always live: they back reports and
-//! the resize policy. Observability never perturbs results: instruments
+//! health checks. Observability never perturbs results: instruments
 //! only read clocks and bump atomics, and never branch on what they
 //! measure — the determinism suites run bitwise-identical with `RBM_OBS`
 //! on and off, which CI enforces.

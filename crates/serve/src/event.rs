@@ -1,9 +1,9 @@
 //! The drift-event bus: owned serving events and the subscriber fan-out.
 //!
-//! Shard workers publish; any number of subscribers receive every event on
-//! their own unbounded channel. Publishing never blocks a shard — a slow or
-//! abandoned subscriber only grows (or, once dropped, is pruned from) its
-//! own queue. Event order is preserved *per stream* (each stream lives on
+//! Shard workers and the supervisor publish; any number of subscribers
+//! receive every event on their own unbounded channel. Every event belongs
+//! to one stream. Publishing never blocks a shard — a slow or abandoned
+//! subscriber only grows (or, once dropped, is pruned from) its own queue. Event order is preserved *per stream* (each stream lives on
 //! exactly one shard thread); events of different streams interleave in
 //! real arrival order, which differs run to run — consumers needing
 //! determinism group by [`ServeEvent::stream`].
@@ -55,24 +55,6 @@ pub enum ServeEventKind {
     Migrated {
         /// Shard the stream lived on before the resize.
         from_shard: usize,
-    },
-    /// The supervisor **performed** a load-based auto-resize (failed
-    /// attempts publish nothing — this event is fact, not intent). This
-    /// is a **fleet-level** event: [`ServeEvent::stream`] is empty and
-    /// [`ServeEvent::shard`] is the shard count after the resize. The
-    /// per-stream `Migrated` events of the streams it moved *precede* it
-    /// on the bus (they are published by the shard workers while the
-    /// resize is in flight; this event is published once it has
-    /// succeeded).
-    ResizeDecision {
-        /// Shard count before the resize.
-        old_shards: usize,
-        /// Shard count the policy asked for (post-clamping to the
-        /// configured bounds).
-        new_shards: usize,
-        /// The smoothed per-shard queued-instance backlog that drove the
-        /// decision.
-        mean_queued_instances: f64,
     },
     /// The supervisor spilled a background checkpoint of this stream to
     /// disk (fires after the bytes are durably renamed into place).

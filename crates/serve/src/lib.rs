@@ -45,11 +45,10 @@
 //! * the fleet is **autonomic**: a background
 //!   [`Supervisor`] closes the loop on those
 //!   mechanisms — per-stream jittered background checkpointing (urgent
-//!   after drifts), and load-based auto-resize driven by a pluggable
-//!   [`ResizePolicy`] over the shards'
-//!   lock-free queue gauges ([`ServerHandle::shard_loads`]) within
-//!   configured bounds, with every decision published on the bus
-//!   (`tests/supervisor.rs`);
+//!   after drifts) and hot/cold tiering, each spill published on the bus,
+//!   bitwise-safe under concurrent operator resizes
+//!   (`tests/supervisor.rs`). The fleet size stays the operator's call:
+//!   a load-driven resize policy measured no better than a fixed fleet;
 //! * stream state is **tiered**: under a supervisor [`TierPolicy`] (or an
 //!   explicit [`ServerHandle::hibernate_stream`]), idle streams'
 //!   in-memory pipeline state is evicted to their binary checkpoint —
@@ -126,12 +125,11 @@ pub use event::{EventBus, ServeEvent, ServeEventKind};
 pub use router::StreamRouter;
 pub use server::{
     deterministic_spec, FrameDropBreakdown, HealthSnapshot, HibernateOutcome, IngestError,
-    MigratedStream, ResizeReport, ServeError, ServeReport, ServerHandle, ShardHealth, ShardLoad,
+    MigratedStream, ResizeReport, ServeError, ServeReport, ServerHandle, ShardHealth,
     StreamCheckpoint, StreamClient, StreamSummary,
 };
 pub use shard::{TierKind, TierScanEntry};
 pub use sink::{MetricRetention, OsSpillIo, SnapshotSink, SpillIo};
 pub use supervisor::{
-    CheckpointPolicy, HysteresisResizePolicy, ResizeConfig, ResizePolicy, Supervisor,
-    SupervisorConfig, SupervisorHandle, SupervisorReport,
+    CheckpointPolicy, Supervisor, SupervisorConfig, SupervisorHandle, SupervisorReport,
 };

@@ -261,8 +261,8 @@ impl FrameDropBreakdown {
     }
 }
 
-/// One shard's row in a [`HealthSnapshot`]: stream population plus the
-/// same gauge readings as [`ShardLoad`].
+/// One shard's row in a [`HealthSnapshot`]: stream population plus its
+/// lock-free queue gauge readings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardHealth {
     /// Shard slot index.
@@ -329,23 +329,6 @@ pub fn deterministic_spec(
     } else {
         spec.clone()
     }
-}
-
-/// A point-in-time load reading of one shard, taken from its lock-free
-/// gauges. `queue_depth`/`queued_instances` are the ingest messages /
-/// instances enqueued but not yet fully processed (the backlog a
-/// [`ResizePolicy`](crate::supervisor::ResizePolicy) watches);
-/// `processed_instances` is the shard's lifetime throughput counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct ShardLoad {
-    /// Shard slot index.
-    pub shard: usize,
-    /// Ingest messages enqueued but not yet processed.
-    pub queue_depth: u64,
-    /// Instances inside those unprocessed messages.
-    pub queued_instances: u64,
-    /// Lifetime instances fully processed by this shard slot.
-    pub processed_instances: u64,
 }
 
 /// One shard slot of the live topology: its ingest channel plus the load
@@ -650,33 +633,6 @@ impl ServerHandle {
         self.inner.topology.read().expect("topology lock poisoned").router.shard_of(stream_id)
     }
 
-    /// Point-in-time load readings of every shard slot, from the lock-free
-    /// gauges the ingest path maintains — cheap enough to poll at high
-    /// frequency ([`Supervisor`](crate::supervisor::Supervisor) feeds these
-    /// to its [`ResizePolicy`](crate::supervisor::ResizePolicy) every
-    /// tick). Readings are monotone-counter differences, not a consistent
-    /// cross-shard snapshot.
-    pub fn shard_loads(&self) -> Vec<ShardLoad> {
-        let topology = self.inner.topology.read().expect("topology lock poisoned");
-        topology
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard, link)| {
-                let enq_m = link.gauge.enqueued_messages.get();
-                let pro_m = link.gauge.processed_messages.get();
-                let enq_i = link.gauge.enqueued_instances.get();
-                let pro_i = link.gauge.processed_instances.get();
-                ShardLoad {
-                    shard,
-                    queue_depth: enq_m.saturating_sub(pro_m),
-                    queued_instances: enq_i.saturating_sub(pro_i),
-                    processed_instances: pro_i,
-                }
-            })
-            .collect()
-    }
-
     /// The server's metrics registry: every shard gauge, latency
     /// histogram, and resize/spill timing registers here. Hand it to an
     /// [`ObsServer`](rbm_im_obs::ObsServer) for Prometheus scraping, or
@@ -701,7 +657,7 @@ impl ServerHandle {
     /// A liveness summary of the running server: per-shard stream counts
     /// and load gauges, fleet-wide ingest latency quantiles, and the age
     /// of the most recent checkpoint spill. Takes the control lock (the
-    /// per-shard stream counts are an inventory barrier), so it cannot
+    /// per-shard stream counts are a tier-scan barrier), so it cannot
     /// race a resize — poll it from a health endpoint, not a hot loop.
     pub fn health(&self) -> HealthSnapshot {
         let _guard = self.control.lock().expect("control lock poisoned");
@@ -712,8 +668,6 @@ impl ServerHandle {
         let mut total_hot = 0usize;
         let mut total_cold = 0usize;
         for (index, link) in links.iter().enumerate() {
-            // A tier scan rather than a bare inventory: same barrier, but
-            // the rows also say which residency tier each stream occupies.
             let (reply_tx, reply_rx) = channel();
             let entries = if link.tx.send(ShardMsg::Tiers { reply: reply_tx }).is_ok() {
                 reply_rx.recv().unwrap_or_default()
@@ -763,29 +717,12 @@ impl ServerHandle {
         }
     }
 
-    /// The ids of every currently attached stream, sorted (an inventory
-    /// barrier across all shards — takes the control lock, so it cannot
-    /// race a resize). The supervisor uses this to keep its per-stream
-    /// checkpoint schedule in sync with attaches and detaches.
+    /// The ids of every currently attached stream, hibernated ones
+    /// included, sorted (the ids of a [`tier_scan`](Self::tier_scan), so
+    /// it cannot race a resize). The supervisor seeds its
+    /// per-stream checkpoint schedule from this.
     pub fn attached_streams(&self) -> Vec<String> {
-        let _guard = self.control.lock().expect("control lock poisoned");
-        let links: Vec<ShardLink> =
-            self.inner.topology.read().expect("topology lock poisoned").shards.clone();
-        let mut replies = Vec::with_capacity(links.len());
-        for link in &links {
-            let (reply_tx, reply_rx) = channel();
-            if link.tx.send(ShardMsg::Inventory { reply: reply_tx }).is_ok() {
-                replies.push(reply_rx);
-            }
-        }
-        let mut ids: Vec<String> = replies
-            .into_iter()
-            .filter_map(|rx| rx.recv().ok())
-            .flatten()
-            .map(|id| id.to_string())
-            .collect();
-        ids.sort();
-        ids
+        self.tier_scan().into_iter().map(|entry| entry.id.to_string()).collect()
     }
 
     /// The spec a stream would actually be built with: the attach spec
@@ -923,8 +860,9 @@ impl ServerHandle {
     /// Per-stream tier rows across the whole fleet (id, position, idle
     /// age, tier, resident bytes), sorted by stream id — the supervisor's
     /// tier policy plans its evictions from this, and budget-conscious
-    /// callers audit their hot-tier population through it. Control-locked
-    /// barrier, like [`ServerHandle::attached_streams`].
+    /// callers audit their hot-tier population through it. A barrier
+    /// across all shards that takes the control lock, so it cannot race a
+    /// resize.
     pub fn tier_scan(&self) -> Vec<TierScanEntry> {
         let _guard = self.control.lock().expect("control lock poisoned");
         let links: Vec<ShardLink> =
@@ -1000,13 +938,13 @@ impl ServerHandle {
     /// Subscribes to the drift-event bus: the receiver sees every event
     /// published after this call (attach/detach/migration notices,
     /// warnings, drifts with per-class attribution, periodic metric
-    /// snapshots, supervisor resize decisions and checkpoint spills).
+    /// snapshots, supervisor checkpoint spills and hibernations).
     pub fn subscribe(&self) -> Receiver<ServeEvent> {
         self.inner.bus.subscribe()
     }
 
-    /// The server's event bus — the supervisor publishes fleet-level
-    /// events (resize decisions, checkpoint spills) through it.
+    /// The server's event bus — the supervisor publishes its checkpoint
+    /// spills through it.
     pub(crate) fn bus(&self) -> &Arc<EventBus> {
         &self.inner.bus
     }
@@ -1077,18 +1015,18 @@ impl ServerHandle {
             self.joins.lock().expect("joins lock poisoned").insert(index, join);
         }
 
-        // Plan: inventory every old shard and keep the streams whose ring
-        // owner changes.
+        // Plan: scan every old shard's streams (hibernated ones included)
+        // and keep those whose ring owner changes.
         let mut moving: Vec<(Arc<str>, usize, usize)> = Vec::new();
         for (shard, link) in old_shards.iter().enumerate() {
             let (reply_tx, reply_rx) = channel();
             link.tx
-                .send(ShardMsg::Inventory { reply: reply_tx })
+                .send(ShardMsg::Tiers { reply: reply_tx })
                 .map_err(|_| ServeError::ShardUnavailable)?;
-            for id in reply_rx.recv().map_err(|_| ServeError::ShardUnavailable)? {
-                let to = new_router.shard_of(&id);
+            for entry in reply_rx.recv().map_err(|_| ServeError::ShardUnavailable)? {
+                let to = new_router.shard_of(&entry.id);
                 if to != shard {
-                    moving.push((id, shard, to));
+                    moving.push((entry.id, shard, to));
                 }
             }
         }

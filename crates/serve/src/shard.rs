@@ -75,14 +75,14 @@ fn forced_hibernate() -> bool {
 
 /// Lock-free per-shard load counters, shared between the ingest senders
 /// (which count enqueues) and the worker thread (which counts completions).
-/// `enqueued − processed` is the shard's live queue depth — the signal the
-/// supervisor's [`ResizePolicy`](crate::supervisor::ResizePolicy) watches.
-/// Counters are monotone, so reads need no coordination with the hot path.
+/// `enqueued − processed` is the shard's live queue depth, as
+/// `ServerHandle::health` reports it. Counters are monotone, so reads need
+/// no coordination with the hot path.
 ///
 /// The counters live in the server's
-/// [`MetricsRegistry`] (`rbm_serve_*_total{shard}` families), so the
-/// resize policy, `ServerHandle::shard_loads`, and the exposition paths
-/// all read the **same** instruments — there is no private duplicate.
+/// [`MetricsRegistry`] (`rbm_serve_*_total{shard}` families), so
+/// `ServerHandle::health` and the exposition paths read the **same**
+/// instruments — there is no private duplicate.
 /// Registry handles are monotone across resizes: a re-grown shard slot
 /// reattaches to its counters, which keeps `enqueued − processed`
 /// consistent because both sides survive together.
@@ -289,11 +289,10 @@ pub(crate) enum ShardMsg {
     Ingest { id: Arc<str>, payload: Payload },
     /// Barrier: replied to once every earlier message is processed.
     Drain { reply: Sender<()> },
-    /// List the stream ids attached to this shard (resize planning);
-    /// includes hibernated streams — they are attached.
-    Inventory { reply: Sender<Vec<Arc<str>>> },
-    /// Per-stream tier rows (hot/cold, idleness, resident bytes) for the
-    /// supervisor's tier policy and `health()`.
+    /// Per-stream tier rows (hot/cold, idleness, resident bytes) of every
+    /// stream attached to this shard, hibernated ones included: the
+    /// supervisor's tier policy, `health()`, `attached_streams()` and
+    /// resize planning read them.
     Tiers { reply: Sender<Vec<TierScanEntry>> },
     /// Evict a stream's live state to its binary checkpoint. `spill`
     /// carries the freshest background spill (position, path): when it
@@ -518,11 +517,6 @@ impl ShardWorker {
                 }
                 ShardMsg::Drain { reply } => {
                     let _ = reply.send(());
-                }
-                ShardMsg::Inventory { reply } => {
-                    let mut inventory: Vec<Arc<str>> = self.streams.keys().cloned().collect();
-                    inventory.sort();
-                    let _ = reply.send(inventory);
                 }
                 ShardMsg::Tiers { reply } => {
                     let mut entries: Vec<TierScanEntry> = self

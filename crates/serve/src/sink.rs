@@ -41,6 +41,7 @@ use rbm_im_harness::checkpoint::codec::{self, CheckpointCodec};
 use rbm_im_metrics::PrequentialSnapshot;
 use rbm_im_obs::{Histogram, MetricsRegistry, TraceEvent};
 use serde::Serialize as _;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
@@ -53,6 +54,11 @@ use std::time::Instant;
 /// checkpoint spill a temp file of its own, so two sinks spilling the same
 /// stream into one directory never rename each other's temp file away.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Sequence numbers of this process's spills between their temp-file
+/// write and its rename: the orphan sweep of [`SnapshotSink::new`] leaves
+/// these temp files alone.
+static IN_FLIGHT: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
 
 /// Rotation policy for per-stream metric history files. The live
 /// `<stream>.metrics.jsonl` rotates to `<stream>.metrics.1.jsonl` (older
@@ -149,25 +155,23 @@ pub struct SnapshotSink {
 impl SnapshotSink {
     /// Opens (creating if needed) a sink over `dir`.
     ///
-    /// Opening sweeps orphan `*.checkpoint.bin.*.tmp` files out of the
-    /// directory: a process that died between a spill's temp-file write
-    /// and its rename leaves a partially written `.tmp` behind, and while
-    /// the loaders never read those, letting them accumulate turns every
-    /// crash into permanent disk debris. The sweep is safe by
-    /// construction — a `.tmp` is only ever the *incomplete* side of an
-    /// atomic publish, never the authoritative checkpoint. It cannot tell
-    /// a dead process's temp file from a live spill's, so open every sink
-    /// of a directory before any of them spills.
+    /// Opening sweeps orphan `*.checkpoint.bin.<pid>-<seq>.tmp` files out
+    /// of the directory: a spill that died between its temp-file write and
+    /// its rename (a crash, a full disk) leaves a partially written `.tmp`
+    /// behind, and while the loaders never read those, letting them
+    /// accumulate turns every crash into permanent disk debris. A `.tmp`
+    /// is only ever the *incomplete* side of an atomic publish, never the
+    /// authoritative checkpoint, but it may belong to a spill still in
+    /// flight, so the sweep spares it while its spill can still finish:
+    /// this process's own spills between write and rename, and any file
+    /// whose `<pid>` has a `/proc/<pid>` entry. Without `/proc`, other
+    /// processes' temp files are always swept.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
-            let orphan = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|name| name.contains(".checkpoint.bin.") && name.ends_with(".tmp"));
-            if orphan {
+            if path.file_name().and_then(|n| n.to_str()).is_some_and(is_orphan_tmp) {
                 let _ = fs::remove_file(&path);
             }
         }
@@ -240,8 +244,11 @@ impl SnapshotSink {
         let write_started = Instant::now();
         let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = path.with_extension(format!("bin.{}-{seq}.tmp", std::process::id()));
-        self.io.write(&tmp, scratch.as_slice())?;
-        self.io.rename(&tmp, &path)?;
+        IN_FLIGHT.lock().expect("in-flight set poisoned").insert(seq);
+        let published =
+            self.io.write(&tmp, scratch.as_slice()).and_then(|()| self.io.rename(&tmp, &path));
+        IN_FLIGHT.lock().expect("in-flight set poisoned").remove(&seq);
+        published?;
         if let Some(obs) = &self.spill_obs {
             obs.write.record(write_started.elapsed().as_nanos() as u64);
         }
@@ -480,6 +487,28 @@ impl SnapshotSink {
 
     fn rotated_metrics_path(&self, stream: &str, generation: usize) -> PathBuf {
         self.dir.join(format!("{}.metrics.{generation}.jsonl", sanitize(stream)))
+    }
+}
+
+/// Whether a sink-directory file name is spill debris the sweep may
+/// delete: a `*.checkpoint.bin.*.tmp` whose `<pid>-<seq>` tag names
+/// neither one of this process's in-flight spills nor a live process (an
+/// untagged temp file is always debris).
+fn is_orphan_tmp(name: &str) -> bool {
+    if !(name.contains(".checkpoint.bin.") && name.ends_with(".tmp")) {
+        return false;
+    }
+    let owner = name
+        .strip_suffix(".tmp")
+        .and_then(|stem| stem.rsplit_once(".checkpoint.bin."))
+        .and_then(|(_, tag)| tag.split_once('-'))
+        .and_then(|(pid, seq)| Some((pid.parse::<u32>().ok()?, seq.parse::<u64>().ok()?)));
+    match owner {
+        Some((pid, seq)) if pid == std::process::id() => {
+            !IN_FLIGHT.lock().expect("in-flight set poisoned").contains(&seq)
+        }
+        Some((pid, _)) => !Path::new("/proc").join(pid.to_string()).exists(),
+        None => true,
     }
 }
 

@@ -1,13 +1,12 @@
 //! The autonomic control plane: a background supervisor that makes the
-//! serving fleet checkpoint and resize *itself*.
+//! serving fleet checkpoint and tier *itself*.
 //!
-//! PR 4 landed the mechanisms — non-destructive
+//! The server's control operations — non-destructive
 //! [`checkpoint_stream`](crate::server::ServerHandle::checkpoint_stream) /
 //! [`checkpoint_all`](crate::server::ServerHandle::checkpoint_all), disk
-//! spills via [`SnapshotSink`], and live
-//! [`resize_shards`](crate::server::ServerHandle::resize_shards) — but
-//! every one of them was caller-triggered. The [`Supervisor`] closes the
-//! loop:
+//! spills via [`SnapshotSink`], and
+//! [`hibernate_stream`](crate::server::ServerHandle::hibernate_stream) —
+//! are all caller-triggered. The [`Supervisor`] closes the loop on them:
 //!
 //! * **background checkpointing** — every attached stream is spilled on a
 //!   per-stream interval with a deterministic per-stream *jitter* phase
@@ -17,16 +16,6 @@
 //!   stream signals a drift, because post-drift state is exactly the
 //!   state worth preserving. Spills are RBMC binary checkpoints and land
 //!   atomically;
-//! * **load-based auto-resize** — each tick the supervisor reads the
-//!   shards' lock-free queue gauges
-//!   ([`ServerHandle::shard_loads`](crate::server::ServerHandle::shard_loads)),
-//!   feeds them to a pluggable [`ResizePolicy`] (the default
-//!   [`HysteresisResizePolicy`] smooths the per-shard backlog with an
-//!   EWMA and applies distinct grow/shrink watermarks so the fleet never
-//!   flaps), clamps the answer to `[min_shards, max_shards]`, enforces a
-//!   cooldown between resizes, and then calls `resize_shards` — emitting
-//!   a [`ServeEventKind::ResizeDecision`] bus event either way the
-//!   decision goes;
 //! * **tiered stream state** — with a [`TierPolicy`] configured, each tick
 //!   scans the fleet's residency tiers and **hibernates** hot streams that
 //!   are idle past the policy's age, or — under budget pressure — the
@@ -37,23 +26,30 @@
 //!   Disk-authoritative cold streams are skipped by the periodic spill
 //!   schedule (their checkpoint cannot go stale) until they rehydrate.
 //!
+//! The fleet size is the operator's: the supervisor never resizes, because
+//! an open-loop load-step probe (25k → 100k → 25k inst/s over 64 RBF5
+//! `rbm` streams, 10 seeds) found a load-driven resize policy no better
+//! than a fixed 2-shard fleet in any phase. Live
+//! [`resize_shards`](crate::server::ServerHandle::resize_shards) is an
+//! operator call, and may run concurrently with a supervisor.
+//!
 //! The supervisor runs on its **own** thread and touches the data plane
 //! only through the same public control operations callers use: ingest
-//! hot paths are never locked by it, and — because checkpoints are
-//! non-destructive and resizes are bitwise-safe by construction (PR 4's
-//! park/extract/replay protocol) — a supervised run produces **bitwise
-//! identical** per-stream results to an unsupervised or sequential run,
-//! whatever the supervisor decides and whenever it decides it. The
-//! `tests/supervisor.rs` suite pins exactly that, plus the cold-restart
-//! path: kill the server, reload the latest background spills, resume,
-//! and the tail of the stream completes bitwise-identically.
+//! hot paths are never locked by it, and — because checkpoints and
+//! hibernations are non-destructive and resizes are bitwise-safe by
+//! construction (the park/extract/replay protocol) — a supervised run
+//! produces **bitwise identical** per-stream results to an unsupervised or
+//! sequential run, whatever the supervisor decides, whenever it decides
+//! it, and whatever resizes race it. The `tests/supervisor.rs` suite pins
+//! exactly that, plus the cold-restart path: kill the server, reload the
+//! latest background spills, resume, and the tail of the stream completes
+//! bitwise-identically.
 
 use crate::config::TierPolicy;
 use crate::event::{ServeEvent, ServeEventKind};
-use crate::server::{HibernateOutcome, ServeError, ServerHandle, ShardLoad};
+use crate::server::{HibernateOutcome, ServeError, ServerHandle};
 use crate::shard::TierKind;
 use crate::sink::SnapshotSink;
-use rbm_im_stats::Ewma;
 use rbm_im_streams::source::derive_stream_seed;
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -82,134 +78,22 @@ impl Default for CheckpointPolicy {
     }
 }
 
-/// Bounds and pacing of load-based auto-resize.
-pub struct ResizeConfig {
-    /// Smallest fleet the supervisor may shrink to.
-    pub min_shards: usize,
-    /// Largest fleet the supervisor may grow to.
-    pub max_shards: usize,
-    /// Minimum wall-clock spacing between two resizes (a live migration
-    /// has real cost; give the new topology time to absorb load before
-    /// judging it).
-    pub cooldown: Duration,
-    /// The decision rule.
-    pub policy: Box<dyn ResizePolicy>,
-}
-
-impl ResizeConfig {
-    /// Hysteresis policy over the given bounds with default watermarks.
-    pub fn bounded(min_shards: usize, max_shards: usize) -> Self {
-        ResizeConfig {
-            min_shards,
-            max_shards,
-            cooldown: Duration::from_secs(10),
-            policy: Box::new(HysteresisResizePolicy::default()),
-        }
-    }
-}
-
-impl std::fmt::Debug for ResizeConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResizeConfig")
-            .field("min_shards", &self.min_shards)
-            .field("max_shards", &self.max_shards)
-            .field("cooldown", &self.cooldown)
-            .finish()
-    }
-}
-
-/// A pluggable fleet-sizing rule: fed the current shard loads every
-/// supervisor tick, answers with the shard count it wants (or `None` to
-/// stay put). The supervisor clamps the answer to the configured bounds
-/// and applies the cooldown — policies only express *desire*.
-pub trait ResizePolicy: Send {
-    /// The desired shard count under the observed loads.
-    fn desired_shards(&mut self, loads: &[ShardLoad], current: usize) -> Option<usize>;
-
-    /// The smoothed load signal the policy is currently acting on
-    /// (reported in [`ServeEventKind::ResizeDecision`] events for
-    /// observability; return the raw mean if the policy keeps no state).
-    fn signal(&self) -> f64 {
-        0.0
-    }
-}
-
-/// The default [`ResizePolicy`]: an EWMA of the mean per-shard queued
-/// instances, compared against distinct grow/shrink watermarks
-/// (hysteresis), stepping one shard at a time.
-///
-/// * backlog above `scale_up_backlog` → one more shard;
-/// * backlog below `scale_down_backlog` → one fewer shard;
-/// * in between → stay put.
-///
-/// The gap between the watermarks is what prevents flapping: a fleet that
-/// just grew sees its backlog drop, and must drop *well below* the grow
-/// threshold before the policy gives the shard back.
-pub struct HysteresisResizePolicy {
-    ewma: Ewma,
-    /// Smoothed mean queued instances per shard above which to add a shard.
-    pub scale_up_backlog: f64,
-    /// Smoothed mean queued instances per shard below which to drop one.
-    pub scale_down_backlog: f64,
-}
-
-impl HysteresisResizePolicy {
-    /// Policy with explicit watermarks and EWMA smoothing factor.
-    ///
-    /// # Panics
-    /// Panics if `scale_down_backlog >= scale_up_backlog` (the hysteresis
-    /// band must be non-empty) or `lambda` is outside `(0, 1]`.
-    pub fn new(scale_up_backlog: f64, scale_down_backlog: f64, lambda: f64) -> Self {
-        assert!(
-            scale_down_backlog < scale_up_backlog,
-            "hysteresis needs scale_down_backlog < scale_up_backlog"
-        );
-        HysteresisResizePolicy { ewma: Ewma::new(lambda), scale_up_backlog, scale_down_backlog }
-    }
-}
-
-impl Default for HysteresisResizePolicy {
-    fn default() -> Self {
-        // Watermarks in *instances queued per shard*: grow when a shard is
-        // ~half an ingest queue behind, shrink when backlogs are trivial.
-        HysteresisResizePolicy::new(512.0, 32.0, 0.3)
-    }
-}
-
-impl ResizePolicy for HysteresisResizePolicy {
-    fn desired_shards(&mut self, loads: &[ShardLoad], current: usize) -> Option<usize> {
-        if loads.is_empty() {
-            return None;
-        }
-        let mean =
-            loads.iter().map(|l| l.queued_instances as f64).sum::<f64>() / loads.len() as f64;
-        let smoothed = self.ewma.update(mean);
-        if smoothed > self.scale_up_backlog {
-            Some(current + 1)
-        } else if smoothed < self.scale_down_backlog && current > 1 {
-            Some(current - 1)
-        } else {
-            None
-        }
-    }
-
-    fn signal(&self) -> f64 {
-        self.ewma.value()
-    }
-}
-
 /// Supervisor configuration: the control-loop cadence plus the two
-/// policies it enforces (either may be disabled independently).
+/// policies it enforces (either may be disabled independently). Build it
+/// from `..SupervisorConfig::default()` rather than naming every field.
 #[derive(Debug)]
 pub struct SupervisorConfig {
-    /// Control-loop cadence: how often schedules are checked and shard
-    /// loads sampled. Checkpoint intervals shorter than the tick are
+    /// Control-loop cadence: how often schedules are checked and tiers
+    /// scanned. Checkpoint intervals shorter than the tick are
     /// effectively rounded up to it.
     pub tick: Duration,
     /// Background checkpointing policy (`None` disables spilling).
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Load-based auto-resize (`None` pins the fleet size).
-    pub resize: Option<ResizeConfig>,
+    /// Always `None`: the supervisor never resizes the fleet. The field
+    /// exists only so that struct literals written as
+    /// `SupervisorConfig { tick, checkpoint, resize: None, tier }` keep
+    /// compiling; it is uninhabited, so it cannot carry a setting.
+    pub resize: Option<std::convert::Infallible>,
     /// Hot/cold stream tiering (`None` keeps every stream hot — the
     /// pre-tiering behavior). See [`TierPolicy`].
     pub tier: Option<TierPolicy>,
@@ -226,21 +110,6 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// One auto-resize the supervisor **performed**. Attempts that failed are
-/// not recorded here (the fleet size did not change); they land in
-/// [`SupervisorReport::errors`].
-#[derive(Debug, Clone)]
-pub struct ResizeDecision {
-    /// Shard count before.
-    pub old_shards: usize,
-    /// Shard count after (the policy's desire clamped to the bounds).
-    pub new_shards: usize,
-    /// The smoothed backlog signal at decision time.
-    pub mean_queued_instances: f64,
-    /// Streams the resize migrated.
-    pub moved: usize,
-}
-
 /// What a stopped supervisor hands back.
 #[derive(Debug, Default)]
 pub struct SupervisorReport {
@@ -254,8 +123,6 @@ pub struct SupervisorReport {
     /// Cold streams whose in-memory checkpoint bytes were demoted to the
     /// spill file on disk.
     pub disk_demotions: u64,
-    /// Every resize decision taken, in order.
-    pub resizes: Vec<ResizeDecision>,
     /// Control-plane errors the supervisor absorbed (a stream detached
     /// mid-checkpoint, a spill hitting a full disk, …). The supervisor
     /// never panics the fleet over these; they are reported for
@@ -328,7 +195,7 @@ struct StreamSchedule {
 fn run(
     server: Arc<ServerHandle>,
     sink: SnapshotSink,
-    mut config: SupervisorConfig,
+    config: SupervisorConfig,
     stop: Receiver<()>,
     events: Receiver<ServeEvent>,
 ) -> SupervisorReport {
@@ -346,13 +213,12 @@ fn run(
     // bytes cannot go stale while the stream is cold. Membership ends at
     // the stream's `Rehydrated` (or `Detached`) event.
     let mut cold_disk: HashSet<String> = HashSet::new();
-    let mut last_resize = Instant::now();
     // Streams attached before the supervisor started predate the bus
     // subscription; seed the schedule once from a fleet inventory. From
     // here on the schedule is maintained purely from bus events — an
-    // Inventory round-trip queues behind ingest backlog on every shard,
-    // and a per-tick barrier would stall urgent spills and resize relief
-    // exactly when the fleet is overloaded.
+    // inventory round-trip queues behind ingest backlog on every shard,
+    // and a per-tick barrier would stall urgent spills exactly when the
+    // fleet is overloaded.
     if let Some(policy) = config.checkpoint {
         let now = Instant::now();
         for id in server.attached_streams() {
@@ -373,7 +239,7 @@ fn run(
         // stream's `Attached` always precedes its `Drift`s, so an urgent
         // mark can never race the stream's first schedule entry. Draining
         // happens every tick regardless of policies, so the bus queue
-        // cannot grow unboundedly behind a resize-only supervisor.
+        // cannot grow unboundedly behind a tier-only supervisor.
         for event in events.try_iter() {
             match &event.kind {
                 ServeEventKind::Attached => {
@@ -401,62 +267,10 @@ fn run(
             }
         }
 
-        // Resize before the spill round: the decision is a gauge read,
-        // while a checkpoint round can take milliseconds per stream — an
-        // overloaded fleet should not wait behind its own spill schedule
-        // for relief. The policy sees the gauges every tick (so its
-        // smoothing keeps tracking reality through the cooldown); only
-        // the resize *action* is paced by the cooldown.
-        if let Some(resize) = config.resize.as_mut() {
-            let loads = server.shard_loads();
-            let current = loads.len();
-            let desired = resize.policy.desired_shards(&loads, current);
-            if now.duration_since(last_resize) >= resize.cooldown {
-                if let Some(desired) = desired {
-                    let clamped = desired.clamp(resize.min_shards, resize.max_shards);
-                    if clamped != current {
-                        let signal = resize.policy.signal();
-                        match server.resize_shards(clamped) {
-                            Ok(resize_report) => {
-                                server.bus().publish(ServeEvent {
-                                    stream: Arc::from(""),
-                                    shard: clamped,
-                                    kind: ServeEventKind::ResizeDecision {
-                                        old_shards: current,
-                                        new_shards: clamped,
-                                        mean_queued_instances: signal,
-                                    },
-                                });
-                                report.resizes.push(ResizeDecision {
-                                    old_shards: current,
-                                    new_shards: clamped,
-                                    mean_queued_instances: signal,
-                                    moved: resize_report.moved.len(),
-                                });
-                            }
-                            Err(e) => {
-                                // No event: the fleet size did not change,
-                                // and subscribers must be able to trust
-                                // `ResizeDecision` as fact, not intent.
-                                report
-                                    .errors
-                                    .push(format!("resize {current} -> {clamped} failed: {e}"));
-                            }
-                        }
-                        // Pace the next attempt either way — retrying a
-                        // failed resize every tick would busy-loop the
-                        // error against a broken fleet.
-                        last_resize = Instant::now();
-                    }
-                }
-            }
-        }
-
         // Tier pass: hibernate idle / over-budget hot streams and demote
-        // cold in-memory handles to disk. Runs after the resize block (a
-        // just-resized fleet reports fresh tier rows) and before the spill
-        // round (an eviction's spill resets the stream's spill schedule,
-        // so the round never redundantly re-spills what the tier pass just
+        // cold in-memory handles to disk. Runs before the spill round (an
+        // eviction's spill resets the stream's spill schedule, so the
+        // round never redundantly re-spills what the tier pass just
         // wrote).
         if let Some(tier) = config.tier {
             let scan = server.tier_scan();
@@ -663,51 +477,6 @@ fn demote(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn load(shard: usize, queued: u64) -> ShardLoad {
-        ShardLoad {
-            shard,
-            queue_depth: queued / 8,
-            queued_instances: queued,
-            processed_instances: 0,
-        }
-    }
-
-    #[test]
-    fn hysteresis_policy_steps_up_and_down_with_a_dead_band() {
-        // lambda = 1.0 → no smoothing lag, pure watermark logic.
-        let mut policy = HysteresisResizePolicy::new(100.0, 10.0, 1.0);
-        assert_eq!(policy.desired_shards(&[load(0, 500)], 2), Some(3), "overload grows");
-        assert_eq!(policy.desired_shards(&[load(0, 50)], 3), None, "dead band holds");
-        assert_eq!(policy.desired_shards(&[load(0, 0)], 3), Some(2), "idle shrinks");
-        assert_eq!(policy.desired_shards(&[load(0, 0)], 1), None, "never below one shard");
-        assert_eq!(policy.desired_shards(&[], 4), None, "no loads, no opinion");
-    }
-
-    #[test]
-    fn hysteresis_smoothing_filters_single_spikes() {
-        let mut policy = HysteresisResizePolicy::new(100.0, 10.0, 0.05);
-        // Initialize the average inside the dead band, then spike: a
-        // single 1000-instance burst must not trigger growth at λ=0.05...
-        assert_eq!(policy.desired_shards(&[load(0, 50)], 2), None);
-        assert_eq!(policy.desired_shards(&[load(0, 1_000)], 2), None, "one spike is filtered");
-        // ...but a sustained backlog works through the EWMA quickly.
-        let mut grew = false;
-        for _ in 0..10 {
-            if policy.desired_shards(&[load(0, 1_000)], 2).is_some() {
-                grew = true;
-                break;
-            }
-        }
-        assert!(grew, "sustained overload must grow the fleet");
-        assert!(policy.signal() > 100.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn inverted_watermarks_are_rejected() {
-        HysteresisResizePolicy::new(10.0, 100.0, 0.5);
-    }
 
     #[test]
     fn jitter_offsets_are_deterministic_and_bounded() {

@@ -13,8 +13,8 @@ use rbm_im_harness::pipeline::{PipelineBuilder, RunConfig, RunResult};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
 use rbm_im_serve::{
     deterministic_spec, ChaosFault, ChaosPlan, ChaosSpillIo, CheckpointPolicy, FaultConfig,
-    FaultPlane, FaultRate, FaultSite, IngestError, ResizeConfig, ServeConfig, ServerHandle,
-    SnapshotSink, StreamClient, Supervisor, SupervisorConfig, TierPolicy,
+    FaultPlane, FaultRate, FaultSite, IngestError, ServeConfig, ServerHandle, SnapshotSink,
+    StreamClient, Supervisor, SupervisorConfig, TierPolicy,
 };
 use rbm_im_streams::generators::RandomRbfGenerator;
 use rbm_im_streams::{DataStream, Instance, ReplayStream, StreamExt, StreamSchema};
@@ -22,6 +22,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod support;
+use support::while_resizing;
 
 /// A unique scratch directory for spills.
 fn scratch(label: &str) -> PathBuf {
@@ -618,24 +621,9 @@ fn enospc_fault_leaves_tmp_debris_swept_on_reopen() {
     let _ = fs::remove_dir_all(dir);
 }
 
-/// A resize policy that demands a different fleet size on every tick.
-struct TogglePolicy {
-    big: bool,
-}
-
-impl rbm_im_serve::ResizePolicy for TogglePolicy {
-    fn desired_shards(
-        &mut self,
-        _loads: &[rbm_im_serve::ShardLoad],
-        current: usize,
-    ) -> Option<usize> {
-        self.big = !self.big;
-        Some(if self.big { current + 1 } else { current.saturating_sub(1).max(1) })
-    }
-}
-
-/// Supervisor tick ordering under chaos: zero-cooldown resizes race
-/// urgent spills race `idle_after: ZERO` demotions for the same streams,
+/// Supervisor tick ordering under chaos: an operator's back-to-back
+/// resizes race urgent spills race `idle_after: ZERO` demotions for the
+/// same streams,
 /// while the spill path randomly fails with injected ENOSPC and rate
 /// hibernations thrash the shards from inside ingest. Pins: the only
 /// supervisor errors are the injected ones, no stream double-detaches or
@@ -677,35 +665,32 @@ fn supervisor_races_stay_bitwise_under_injected_faults() {
                 jitter: 0.5,
                 on_drift: true,
             }),
-            resize: Some(ResizeConfig {
-                min_shards: 1,
-                max_shards: 4,
-                cooldown: Duration::ZERO,
-                policy: Box::new(TogglePolicy { big: false }),
-            }),
             tier: Some(TierPolicy {
                 idle_after: Some(Duration::ZERO),
                 max_hot_streams: None,
                 max_demotions_per_tick: 1024,
             }),
+            ..SupervisorConfig::default()
         },
     );
 
-    std::thread::scope(|scope| {
-        for feed in &feeds {
-            let client = server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap();
-            scope.spawn(move || {
-                for chunk in feed.instances.chunks(37) {
-                    ingest_all(&client, chunk.to_vec());
-                }
-            });
-        }
+    let resizes = while_resizing(&server, || {
+        std::thread::scope(|scope| {
+            for feed in &feeds {
+                let client = server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap();
+                scope.spawn(move || {
+                    for chunk in feed.instances.chunks(37) {
+                        ingest_all(&client, chunk.to_vec());
+                    }
+                });
+            }
+        });
+        server.drain();
+        std::thread::sleep(Duration::from_millis(300));
     });
-    server.drain();
-    std::thread::sleep(Duration::from_millis(300));
 
     let report = supervisor.stop();
-    assert!(report.resizes.len() >= 4, "the toggling policy must keep resizing: {report:?}");
+    assert!(resizes >= 4, "the resizer must keep resizing, got {resizes}");
     assert!(report.hibernations >= feeds.len() as u64, "evictions must keep firing");
     // The only acceptable supervisor errors are the injected spill
     // failures — anything else is a real ordering bug.

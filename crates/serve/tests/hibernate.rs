@@ -17,9 +17,9 @@ use rbm_im_harness::pipeline::{PipelineBuilder, RunConfig, RunResult};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
 use rbm_im_obs::{MetricId, MetricsSnapshot};
 use rbm_im_serve::{
-    deterministic_spec, CheckpointPolicy, HibernateOutcome, IngestError, ResizeConfig, ServeConfig,
-    ServeError, ServeEventKind, ServerHandle, SnapshotSink, StreamClient, Supervisor,
-    SupervisorConfig, TierKind, TierPolicy,
+    deterministic_spec, CheckpointPolicy, HibernateOutcome, IngestError, ServeConfig, ServeError,
+    ServeEventKind, ServerHandle, SnapshotSink, StreamClient, Supervisor, SupervisorConfig,
+    TierKind, TierPolicy,
 };
 use rbm_im_streams::generators::RandomRbfGenerator;
 use rbm_im_streams::{DataStream, Instance, ReplayStream, StreamExt, StreamSchema};
@@ -27,6 +27,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+
+mod support;
+use support::while_resizing;
 
 /// A unique scratch directory for spills.
 fn scratch(label: &str) -> PathBuf {
@@ -346,8 +349,8 @@ fn supervisor_budget_policy_bounds_the_hot_tier_bitwise() {
                 jitter: 0.5,
                 on_drift: true,
             }),
-            resize: None,
             tier: Some(TierPolicy::default().with_max_hot_streams(MAX_HOT)),
+            ..SupervisorConfig::default()
         },
     );
     // Let the tier pass drain the idle fleet toward the budget.
@@ -404,25 +407,9 @@ fn supervisor_budget_policy_bounds_the_hot_tier_bitwise() {
     let _ = fs::remove_dir_all(dir);
 }
 
-/// A resize policy that demands a different fleet size on every tick.
-struct TogglePolicy {
-    big: bool,
-}
-
-impl rbm_im_serve::ResizePolicy for TogglePolicy {
-    fn desired_shards(
-        &mut self,
-        _loads: &[rbm_im_serve::ShardLoad],
-        current: usize,
-    ) -> Option<usize> {
-        self.big = !self.big;
-        Some(if self.big { current + 1 } else { current.saturating_sub(1).max(1) })
-    }
-}
-
-/// The most hostile interleaving: every tick resizes the fleet (zero
-/// cooldown, toggling policy) *and* hibernates every idle hot stream
-/// (`idle_after: ZERO`), under concurrent ingest. Cold streams migrate
+/// The most hostile interleaving: an operator toggles the fleet size every
+/// few milliseconds while every supervisor tick hibernates every idle hot
+/// stream (`idle_after: ZERO`), under concurrent ingest. Cold streams migrate
 /// between shards as raw checkpoint bytes without waking; mid-ingest
 /// evictions thrash hot streams through the encode/rehydrate cycle; none
 /// of it may error or change a bit of the results.
@@ -450,34 +437,32 @@ fn hibernation_racing_live_resizes_stays_bitwise_and_error_free() {
                 jitter: 0.5,
                 on_drift: true,
             }),
-            resize: Some(ResizeConfig {
-                min_shards: 1,
-                max_shards: 4,
-                cooldown: Duration::ZERO,
-                policy: Box::new(TogglePolicy { big: false }),
-            }),
             tier: Some(TierPolicy {
                 idle_after: Some(Duration::ZERO),
                 max_hot_streams: None,
                 max_demotions_per_tick: 1024,
             }),
+            ..SupervisorConfig::default()
         },
     );
 
-    std::thread::scope(|scope| {
-        for feed in &feeds {
-            let client = server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap();
-            scope.spawn(move || {
-                for chunk in feed.instances.chunks(37) {
-                    ingest_all(&client, chunk.to_vec());
-                }
-            });
-        }
+    let resizes = while_resizing(&server, || {
+        std::thread::scope(|scope| {
+            for feed in &feeds {
+                let client = server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap();
+                scope.spawn(move || {
+                    for chunk in feed.instances.chunks(37) {
+                        ingest_all(&client, chunk.to_vec());
+                    }
+                });
+            }
+        });
+        server.drain();
+        // Post-drain window: the fleet keeps toggling sizes while every
+        // stream is cold — each migration moves checkpoint bytes, not
+        // state.
+        std::thread::sleep(Duration::from_millis(400));
     });
-    server.drain();
-    // Post-drain window: the fleet keeps toggling sizes while every
-    // stream is cold — each migration moves checkpoint bytes, not state.
-    std::thread::sleep(Duration::from_millis(400));
 
     let scan = server.tier_scan();
     assert!(
@@ -487,7 +472,7 @@ fn hibernation_racing_live_resizes_stays_bitwise_and_error_free() {
 
     let report = supervisor.stop();
     assert!(report.errors.is_empty(), "supervisor errors: {:?}", report.errors);
-    assert!(report.resizes.len() >= 4, "the toggling policy must keep resizing: {report:?}");
+    assert!(resizes >= 4, "the resizer must keep resizing, got {resizes}");
     assert!(report.hibernations >= feeds.len() as u64, "evictions must keep firing");
 
     // Shutdown rehydrates the cold fleet for its final reports.
@@ -532,12 +517,12 @@ fn urgent_spill_same_tick_as_eviction_spills_the_cold_stream() {
                 jitter: 0.0,
                 on_drift: true,
             }),
-            resize: None,
             tier: Some(TierPolicy {
                 idle_after: Some(Duration::ZERO),
                 max_hot_streams: None,
                 max_demotions_per_tick: 1024,
             }),
+            ..SupervisorConfig::default()
         },
     );
 

@@ -19,7 +19,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// A pid no process can have: Linux caps pids at 2^22.
+const DEAD_PID: u32 = u32::MAX;
 
 /// A unique scratch directory under the target-adjacent temp root.
 fn scratch(label: &str) -> PathBuf {
@@ -148,12 +151,13 @@ fn opening_a_sink_sweeps_orphan_tmp_files() {
     let sink = SnapshotSink::new(&dir).unwrap();
     let checkpoint = sample_checkpoint("feed-g");
     sink.spill_checkpoint(&checkpoint).unwrap();
-    fs::write(dir.join("feed-g.checkpoint.bin.4242-7.tmp"), b"half-written").unwrap();
+    let dead_tmp = format!("feed-g.checkpoint.bin.{DEAD_PID}-7.tmp");
+    fs::write(dir.join(&dead_tmp), b"half-written").unwrap();
     fs::write(dir.join("other.checkpoint.bin.tmp"), b"half-written").unwrap();
     fs::write(dir.join("notes.tmp"), b"not checkpoint debris").unwrap();
 
     let reopened = SnapshotSink::new(&dir).unwrap();
-    assert!(!dir.join("feed-g.checkpoint.bin.4242-7.tmp").exists(), "orphan tmp must be swept");
+    assert!(!dir.join(&dead_tmp).exists(), "orphan tmp must be swept");
     assert!(!dir.join("other.checkpoint.bin.tmp").exists(), "older-style orphan must be swept");
     assert!(dir.join("notes.tmp").exists(), "non-checkpoint tmp files are not ours to delete");
     assert_eq!(
@@ -163,6 +167,67 @@ fn opening_a_sink_sweeps_orphan_tmp_files() {
     );
     // Loading the full directory sees exactly the one real spill.
     assert_eq!(reopened.load_checkpoints().unwrap().len(), 1);
+    let _ = fs::remove_dir_all(dir);
+}
+
+/// A [`SpillIo`] that, once a spill's temp file is on disk and before its
+/// rename, opens a second sink on the same directory: the orphan sweep
+/// racing a live spill. Records whether the temp file survived the sweep.
+#[derive(Debug)]
+struct SweepMidSpillIo {
+    dir: PathBuf,
+    tmp_survived: Mutex<Option<bool>>,
+}
+
+impl SpillIo for SweepMidSpillIo {
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        fs::write(path, bytes)?;
+        SnapshotSink::new(&self.dir)?;
+        *self.tmp_survived.lock().unwrap() = Some(path.exists());
+        Ok(())
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        fs::rename(from, to)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        fs::read(path)
+    }
+}
+
+#[test]
+fn opening_a_sink_mid_spill_spares_live_temp_files() {
+    let dir = scratch("live-tmp");
+    let io = Arc::new(SweepMidSpillIo { dir: dir.clone(), tmp_survived: Mutex::new(None) });
+    let sink = SnapshotSink::new(&dir).unwrap().with_io(Arc::clone(&io) as Arc<dyn SpillIo>);
+    // Debris of a dead process and of one of this process's own spills
+    // that failed (its sequence number is never in flight), beside a temp
+    // file of a live process: pid 1 exists wherever `/proc` does.
+    let dead = dir.join(format!("feed-d.checkpoint.bin.{DEAD_PID}-3.tmp"));
+    let own_failed =
+        dir.join(format!("feed-f.checkpoint.bin.{}-{}.tmp", std::process::id(), u64::MAX));
+    let live = dir.join("feed-l.checkpoint.bin.1-3.tmp");
+    for path in [&dead, &own_failed, &live] {
+        fs::write(path, b"half-written").unwrap();
+    }
+
+    let checkpoint = sample_checkpoint("feed-s");
+    let spilled = sink.spill_checkpoint(&checkpoint);
+    assert_eq!(
+        *io.tmp_survived.lock().unwrap(),
+        Some(true),
+        "the sweep must spare this process's in-flight temp file"
+    );
+    spilled.expect("the spill renames its surviving temp file into place");
+    assert_eq!(sink.load_checkpoint("feed-s").unwrap().unwrap(), checkpoint);
+    assert!(!dead.exists(), "a dead process's temp file is swept");
+    assert!(!own_failed.exists(), "this process's failed spill's temp file is swept");
+    assert_eq!(
+        live.exists(),
+        Path::new("/proc/1").exists(),
+        "a live process's temp file is spared (swept only without /proc)"
+    );
     let _ = fs::remove_dir_all(dir);
 }
 

@@ -192,14 +192,15 @@ fn start_supervisor(
                 jitter: 0.5,
                 on_drift: true,
             }),
-            // No resize policy: `shard_of` must stay stable across the
-            // kill-shard victim selection and per-shard recovery below.
-            resize: None,
+            // The supervisor never resizes, so `shard_of` stays stable
+            // across the kill-shard victim selection and per-shard
+            // recovery below.
             tier: Some(TierPolicy {
                 idle_after: Some(Duration::from_millis(50)),
                 max_hot_streams: None,
                 max_demotions_per_tick: 256,
             }),
+            ..SupervisorConfig::default()
         },
     )
 }

@@ -1,29 +1,31 @@
-//! An autonomic serving fleet: background checkpointing + load-based
-//! auto-resize + crash recovery, end to end.
+//! An autonomic serving fleet: background checkpointing + a live operator
+//! resize + crash recovery, end to end.
 //!
-//! Thirty-two drifting feeds are served on a deliberately undersized
-//! 2-shard fleet while a [`Supervisor`] (a) spills every stream's
-//! checkpoint in the compact binary codec on a jittered per-stream
-//! schedule — urgently whenever a stream drifts — and (b) watches the
-//! shards' queue gauges, growing the fleet live when backlog builds and
-//! shrinking it when the burst passes. Midway the process "crashes": the
-//! server is torn down without a final checkpoint, a fresh server cold-
-//! starts from whatever the latest background spills were, replays each
-//! stream's tail from its recorded position, and finishes with results
-//! bitwise-identical to a run that was never interrupted.
+//! Thirty-two drifting feeds are served on a 2-shard fleet while a
+//! [`Supervisor`] spills every stream's checkpoint in the compact binary
+//! codec on a jittered per-stream schedule — urgently whenever a stream
+//! drifts. Halfway through the head, the operator grows the fleet to 4
+//! shards under concurrent ingest. Then the process "crashes": the server
+//! is torn down without a final checkpoint, a fresh server cold-starts
+//! from whatever the latest background spills were, replays each stream's
+//! tail from its recorded position, and finishes with results
+//! bitwise-identical to a run that was never interrupted — which the
+//! example asserts against a sequential [`PipelineBuilder`] replay of
+//! every feed.
 //!
 //! Run with:
 //! `cargo run -p rbm-im-serve --release --example serve_autonomic`
 
+use rbm_im_harness::pipeline::PipelineBuilder;
 use rbm_im_harness::registry::DetectorSpec;
 use rbm_im_obs::{MetricsRegistry, ObsServer};
 use rbm_im_serve::{
-    CheckpointPolicy, HysteresisResizePolicy, ResizeConfig, ServeConfig, ServeEventKind,
-    ServerHandle, SnapshotSink, StreamClient, Supervisor, SupervisorConfig,
+    CheckpointPolicy, ServeConfig, ServeEventKind, ServerHandle, SnapshotSink, StreamClient,
+    Supervisor, SupervisorConfig,
 };
 use rbm_im_streams::generators::RandomRbfGenerator;
-use rbm_im_streams::{DataStream, Instance, StreamExt, StreamSchema};
-use std::sync::Arc;
+use rbm_im_streams::{DataStream, Instance, ReplayStream, StreamExt, StreamSchema};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const FEEDS: usize = 32;
@@ -60,13 +62,7 @@ fn supervisor_config() -> SupervisorConfig {
             jitter: 0.5,
             on_drift: true,
         }),
-        resize: Some(ResizeConfig {
-            min_shards: 1,
-            max_shards: 8,
-            cooldown: Duration::from_millis(60),
-            policy: Box::new(HysteresisResizePolicy::new(64.0, 4.0, 0.5)),
-        }),
-        tier: None,
+        ..SupervisorConfig::default()
     }
 }
 
@@ -91,7 +87,7 @@ fn main() {
     let spec = DetectorSpec::parse("rbm(minibatch=25, warmup=4, persistence=1)").unwrap();
 
     // ---- Phase 1: supervised serving, then a "crash" ---------------------
-    println!("phase 1: serving {FEEDS} feeds on 2 shards with an autonomic supervisor");
+    println!("phase 1: serving {FEEDS} feeds on 2 shards with a supervisor");
     let server = Arc::new(ServerHandle::start(ServeConfig {
         num_shards: 2,
         queue_capacity: 64,
@@ -108,41 +104,42 @@ fn main() {
         supervisor_config(),
     );
 
-    // Feed the head concurrently so real backlog builds on the small fleet.
-    std::thread::scope(|scope| {
+    // Feed the head concurrently. Once every feeder is halfway through, the
+    // operator grows the fleet while the second half is still arriving.
+    let halfway = Barrier::new(FEEDS + 1);
+    let resize = std::thread::scope(|scope| {
         for (id, schema, instances) in &feeds {
             let client = server.attach(id, schema.clone(), &spec).unwrap();
+            let halfway = &halfway;
             scope.spawn(move || {
-                for chunk in instances[..CRASH_AT].chunks(50) {
+                let (first, second) = instances[..CRASH_AT].split_at(CRASH_AT / 2);
+                for chunk in first.chunks(50) {
+                    ingest_all(&client, chunk.to_vec());
+                }
+                halfway.wait();
+                for chunk in second.chunks(50) {
                     ingest_all(&client, chunk.to_vec());
                 }
             });
         }
+        halfway.wait();
+        server.resize_shards(4).expect("live resize")
     });
     server.drain();
     // Linger long enough for every stream's jittered spill to land.
     std::thread::sleep(Duration::from_millis(200));
 
     let report = supervisor.stop();
-    if !report.errors.is_empty() {
-        eprintln!("  supervisor errors: {:?}", report.errors);
-    }
-    let mut grew = 0usize;
-    let mut shrank = 0usize;
-    for r in &report.resizes {
-        if r.new_shards > r.old_shards {
-            grew += 1;
-        } else {
-            shrank += 1;
-        }
-    }
+    assert!(report.errors.is_empty(), "supervisor errors: {:?}", report.errors);
     println!(
-        "  supervisor: {} periodic + {} urgent spills, {} resizes ({grew} up, {shrank} down), \
-         fleet now {} shards",
-        report.periodic_spills,
-        report.urgent_spills,
-        report.resizes.len(),
-        server.num_shards()
+        "  operator resize {} -> {} shards moved {} streams mid-ingest",
+        resize.old_shards,
+        resize.new_shards,
+        resize.moved.len()
+    );
+    println!(
+        "  supervisor: {} periodic + {} urgent spills",
+        report.periodic_spills, report.urgent_spills
     );
     let drifts =
         events.try_iter().filter(|e| matches!(e.kind, ServeEventKind::Drift { .. })).count();
@@ -181,7 +178,31 @@ fn main() {
         quantile_ms(&metrics, "rbm_serve_ingest_latency_seconds", 0.5),
         quantile_ms(&metrics, "rbm_serve_ingest_latency_seconds", 0.99),
     );
+    // The claim, checked: each stream's final result equals a sequential
+    // run over the feed that was never interrupted.
+    let baselines: Vec<_> = feeds
+        .iter()
+        .map(|(id, schema, instances)| {
+            PipelineBuilder::new()
+                .stream(ReplayStream::new(schema.clone(), instances.clone()))
+                .stream_label(id.clone())
+                .detector_spec(server.effective_spec(id, &spec))
+                .config(ServeConfig::default().run)
+                .run()
+                .expect("sequential replay")
+        })
+        .collect();
     let report = server.shutdown();
+    assert_eq!(report.streams.len(), FEEDS, "every feed must have restarted");
+    for ((id, _, _), sequential) in feeds.iter().zip(&baselines) {
+        let served = &report.streams.iter().find(|s| s.stream == *id).expect("served").result;
+        assert_eq!(served.detections, sequential.detections, "{id}: drift offsets");
+        assert_eq!(served.instances, sequential.instances, "{id}: instance count");
+        assert_eq!(served.pm_auc, sequential.pm_auc, "{id}: pmAUC");
+        assert_eq!(served.pm_gmean, sequential.pm_gmean, "{id}: pmGM");
+        assert_eq!(served.accuracy, sequential.accuracy, "{id}: accuracy");
+        assert_eq!(served.kappa, sequential.kappa, "{id}: kappa");
+    }
 
     let total: u64 = report.streams.iter().map(|s| s.result.instances).sum();
     let detected = report.streams.iter().filter(|s| !s.result.detections.is_empty()).count();
@@ -189,7 +210,8 @@ fn main() {
         report.streams.iter().map(|s| s.result.pm_auc).sum::<f64>() / report.streams.len() as f64;
     println!(
         "done: {} streams finished ({total} instances end-to-end), {detected}/{} detected their \
-         drift, mean pmAUC {mean_auc:.2}%, wall {:?}",
+         drift, mean pmAUC {mean_auc:.2}%, all bitwise-identical to the sequential pipeline, \
+         wall {:?}",
         report.streams.len(),
         FEEDS,
         start.elapsed()

@@ -171,10 +171,10 @@ fn main() {
         SupervisorConfig {
             tick: Duration::from_millis(2),
             checkpoint: None, // demote spills only — no periodic schedule
-            resize: None,
             tier: Some(
                 TierPolicy::budget_bytes(HOT_BUDGET_BYTES).with_max_demotions_per_tick(4096),
             ),
+            ..SupervisorConfig::default()
         },
     );
 
