@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn sweep_produces_one_point_per_ratio() {
         let config = Experiment3Config {
-            detectors: vec![DetectorSpec::new("DDM"), DetectorSpec::new("RBM-IM")],
+            detectors: vec![DetectorSpec::new("RDDM"), DetectorSpec::new("RBM-IM")],
             num_features: 8,
             num_classes: 3,
             length: 4_000,

@@ -43,7 +43,6 @@ pub mod pipeline;
 pub mod registry;
 pub mod report;
 pub mod stepper;
-pub mod tuning;
 
 pub use checkpoint::{CheckpointError, PipelineCheckpoint};
 pub use pipeline::{run_grid, GridStream, PipelineBuilder, PipelineEvent, RunConfig, RunResult};

@@ -637,7 +637,7 @@ mod tests {
         let scenario = scenario1(&small_scenario());
         let result = PipelineBuilder::new()
             .boxed_stream(scenario.stream)
-            .detector_spec(DetectorSpec::new("DDM"))
+            .detector_spec(DetectorSpec::new("RDDM"))
             .config(RunConfig {
                 metric_window: 200,
                 max_instances: Some(1_000),

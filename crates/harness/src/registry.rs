@@ -48,10 +48,7 @@ use rbm_im::{RbmIm, RbmImConfig};
 use rbm_im_detectors::ddm_oci::DdmOciConfig;
 use rbm_im_detectors::fhddm::FhddmConfig;
 use rbm_im_detectors::perfsim::PerfSimConfig;
-use rbm_im_detectors::{
-    Adwin, Cusum, Ddm, DdmOci, DriftDetector, Ecdd, Eddm, Fhddm, HddmA, HddmW, PageHinkley,
-    PerfSim, Rddm, Wstd,
-};
+use rbm_im_detectors::{Adwin, DdmOci, DriftDetector, Fhddm, PerfSim, Rddm, Wstd};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -199,7 +196,7 @@ impl DetectorSpec {
     /// let spec = DetectorSpec::parse("rbm(timing=on, hidden=60)").unwrap();
     /// assert_eq!(spec.params.get("timing"), Some(&ParamValue::Word("on".into())));
     ///
-    /// assert_eq!(DetectorSpec::parse("ddm").unwrap().params.len(), 0);
+    /// assert_eq!(DetectorSpec::parse("rddm").unwrap().params.len(), 0);
     /// assert!(DetectorSpec::parse("adwin(delta=").is_err());
     /// assert!(DetectorSpec::parse("adwin(delta=2..5)").is_err());
     /// ```
@@ -422,12 +419,11 @@ impl DetectorRegistry {
         DetectorRegistry { entries: BTreeMap::new() }
     }
 
-    /// The registry with every detector this workspace ships: the 13
-    /// reference detectors plus RBM-IM, under their lowercase table names
-    /// (`"wstd"`, `"rddm"`, `"fhddm"`, `"perfsim"`, `"ddm-oci"`, `"rbm-im"`
-    /// — also under the compact alias `"rbm"` — `"ddm"`, `"eddm"`,
-    /// `"adwin"`, `"hddm-a"`, `"hddm-w"`, `"pagehinkley"`, `"cusum"`,
-    /// `"ecdd"`).
+    /// The registry with every detector this workspace ships: the five
+    /// reference detectors of Table III, ADWIN and RBM-IM, under their
+    /// lowercase table names (`"wstd"`, `"rddm"`, `"fhddm"`, `"perfsim"`,
+    /// `"ddm-oci"`, `"adwin"` and `"rbm-im"`, also under the compact alias
+    /// `"rbm"`).
     pub fn with_defaults() -> Self {
         let mut registry = DetectorRegistry::empty();
         registry.register("wstd", &[], |_, _, _| Ok(Box::new(Wstd::new())));
@@ -497,18 +493,9 @@ impl DetectorRegistry {
         registry.register("rbm-im", RBM_PARAMS, rbm_factory);
         // Compact alias used by serving attach specs.
         registry.register("rbm", RBM_PARAMS, rbm_factory);
-        registry.register("ddm", &[], |_, _, _| Ok(Box::new(Ddm::new())));
-        registry.register("eddm", &[], |_, _, _| Ok(Box::new(Eddm::new())));
         registry.register("adwin", &["delta"], |p, _, _| {
             Ok(Box::new(Adwin::new(p.get_or("delta", 0.002)?)))
         });
-        registry.register("hddm-a", &[], |_, _, _| Ok(Box::new(HddmA::new())));
-        registry.register("hddm-w", &["lambda"], |p, _, _| {
-            Ok(Box::new(HddmW::new(p.get_or("lambda", 0.05)?)))
-        });
-        registry.register("pagehinkley", &[], |_, _, _| Ok(Box::new(PageHinkley::new())));
-        registry.register("cusum", &[], |_, _, _| Ok(Box::new(Cusum::new())));
-        registry.register("ecdd", &[], |_, _, _| Ok(Box::new(Ecdd::new())));
         registry
     }
 
@@ -603,8 +590,8 @@ mod tests {
     #[test]
     fn default_registry_builds_every_paper_detector() {
         let registry = DetectorRegistry::with_defaults();
-        // 13 reference detectors + RBM-IM + the `rbm` alias.
-        assert_eq!(registry.names().len(), 15);
+        // 6 reference detectors + RBM-IM + the `rbm` alias.
+        assert_eq!(registry.names().len(), 8);
         let features = vec![0.1, 0.2, 0.3];
         for name in registry.names() {
             let spec = DetectorSpec::new(&name);
@@ -762,7 +749,7 @@ mod tests {
         assert!(DetectorSpec::parse("adwin(delta=2..5)").is_err());
         assert!(DetectorSpec::parse("adwin(delta=a b)").is_err());
         assert!(DetectorSpec::parse("rbm(timing=-on)").is_err());
-        assert_eq!(DetectorSpec::parse("  ddm  ").unwrap().name, "ddm");
+        assert_eq!(DetectorSpec::parse("  rddm  ").unwrap().name, "rddm");
     }
 
     #[test]

@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn series_table_and_json_are_well_formed() {
         let xs = vec!["IR = 50".to_string(), "IR = 100".to_string()];
-        let detectors = vec![DetectorSpec::new("DDM"), DetectorSpec::new("RBM-IM")];
+        let detectors = vec![DetectorSpec::new("RDDM"), DetectorSpec::new("RBM-IM")];
         let series = vec![vec![60.0, 55.0], vec![80.0, 78.0]];
         let table = format_series_table("pmAUC vs IR", &xs, &detectors, &series);
         assert!(table.contains("IR = 50"));

@@ -2,7 +2,7 @@
 //!
 //! `rbm-im-serve` shards many concurrent streams inside one process; this
 //! crate puts a wire in front of it, the prerequisite to multi-process
-//! distribution (ROADMAP item 1). Three pieces:
+//! distribution. Three pieces:
 //!
 //! * [`wire`] — a length-prefixed binary frame grammar (`RBMW` magic,
 //!   version, frame type, body) built on the RBMC checkpoint codec's
@@ -47,7 +47,7 @@
 //! let client = NetClient::connect(server.local_addr()).unwrap();
 //!
 //! let mut stream = GaussianMixtureGenerator::balanced(8, 3, 1, 7);
-//! let spec = DetectorSpec::parse("ddm").unwrap();
+//! let spec = DetectorSpec::parse("rddm").unwrap();
 //! let feed = client.attach("feed-00", stream.schema().clone(), &spec).unwrap();
 //! feed.ingest_batch(stream.take_instances(200)).unwrap();
 //!

@@ -56,7 +56,7 @@ fn fleet() -> Vec<Feed> {
         "rbm(mini_batch=25, warmup=4, persistence=1)",
         "rbm-im(minibatch=25, hidden=8, warmup=4, persistence=1)",
         "adwin(delta=0.01)",
-        "ddm",
+        "rddm",
     ];
     specs
         .iter()
@@ -230,15 +230,12 @@ fn tcp_fed_fleet_is_bitwise_identical_to_in_process_and_sequential() {
         .map(|feed| (feed.id.clone(), sequential_baseline(feed, run_config())))
         .collect();
     for feed in &feeds {
-        // DDM stays quiet on this fleet (it still pins metric equality);
-        // every other detector must fire so the offset pin is meaningful.
-        if feed.spec.name != "ddm" {
-            assert!(
-                !sequential[&feed.id].detections.is_empty(),
-                "{}: the injected drift must be detected so the pin is meaningful",
-                feed.id
-            );
-        }
+        // Every detector must fire so the offset pin is meaningful.
+        assert!(
+            !sequential[&feed.id].detections.is_empty(),
+            "{}: the injected drift must be detected so the pin is meaningful",
+            feed.id
+        );
     }
 
     for (round, &num_shards) in shard_counts().iter().enumerate() {

@@ -8,16 +8,17 @@
 
 use proptest::prelude::*;
 use rbm_im_detectors::{DetectorState, DriftDetector, Observation};
-use rbm_im_harness::pipeline::RunConfig;
+use rbm_im_harness::pipeline::{PipelineBuilder, RunConfig};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
 use rbm_im_net::wire::{self, FT_SHUTDOWN};
 use rbm_im_net::{ErrorCode, Frame, NetClient, NetServer, NetServerHandle};
 use rbm_im_obs::MetricsRegistry;
 use rbm_im_serve::{
-    ChaosSpillIo, FaultConfig, FaultPlane, FaultRate, FaultSite, IngestError, ServeConfig,
-    SnapshotSink,
+    deterministic_spec, ChaosSpillIo, FaultConfig, FaultPlane, FaultRate, FaultSite, IngestError,
+    ServeConfig, SnapshotSink,
 };
-use rbm_im_streams::{Instance, StreamSchema};
+use rbm_im_streams::generators::RandomRbfGenerator;
+use rbm_im_streams::{DataStream, Instance, ReplayStream, StreamExt, StreamSchema};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
@@ -89,7 +90,7 @@ fn small_config() -> ServeConfig {
 fn assert_server_healthy(addr: SocketAddr, probe_id: &str) {
     let client = NetClient::connect(addr).expect("healthy server accepts connections");
     let feed = client
-        .attach(probe_id, StreamSchema::new(probe_id, 2, 2), &DetectorSpec::new("ddm"))
+        .attach(probe_id, StreamSchema::new(probe_id, 2, 2), &DetectorSpec::new("rddm"))
         .expect("healthy server attaches");
     feed.ingest_batch(vec![Instance::with_index(vec![0.5, 0.5], 0, 0)])
         .expect("healthy server ingests");
@@ -324,6 +325,64 @@ proptest! {
     }
 }
 
+/// Instances that are well-formed frames but do not fit their stream's
+/// schema — a wrong feature count, a class outside `0..num_classes` — are
+/// dropped and counted by the shard, never a worker panic: the stream
+/// sharing the shard and the bad stream's valid instances match a
+/// sequential replay bitwise.
+#[test]
+fn schema_violating_instances_are_counted_never_a_worker_panic() {
+    let config = small_config();
+    let server = NetServer::bind("127.0.0.1:0", config).expect("bind");
+    let client = NetClient::connect(server.local_addr()).expect("connect");
+    let registry = DetectorRegistry::with_defaults();
+    let feeds: Vec<(&str, DetectorSpec, StreamSchema, Vec<Instance>)> =
+        [("bad", "rbm(mini_batch=25, warmup=4, persistence=1)", 31), ("good", "rddm", 32)]
+            .into_iter()
+            .map(|(id, spec, seed)| {
+                let mut gen = RandomRbfGenerator::new(6, 3, 2, 0.0, seed);
+                let schema = gen.schema().clone();
+                (id, DetectorSpec::parse(spec).unwrap(), schema, gen.take_instances(1_500))
+            })
+            .collect();
+    let streams: Vec<_> = feeds
+        .iter()
+        .map(|(id, spec, schema, _)| client.attach(id, schema.clone(), spec).expect("attach"))
+        .collect();
+
+    let (_, _, _, instances) = &feeds[0];
+    let mut first = instances[..700].to_vec();
+    first.push(Instance::with_index(vec![0.5; 5], 0, 10_000));
+    streams[0].ingest_batch(first).expect("ingest");
+    streams[0].ingest_batch(vec![Instance::with_index(vec![0.5; 6], 3, 10_001)]).expect("ingest");
+    streams[0].ingest_batch(instances[700..].to_vec()).expect("ingest");
+    streams[1].ingest_batch(feeds[1].3.clone()).expect("ingest");
+    client.drain().expect("drain");
+
+    let snapshot = client.metrics().expect("metrics over the wire");
+    assert_eq!(snapshot.counter_total("rbm_serve_invalid_instances_total"), 2);
+    let report = client.shutdown().expect("shutdown");
+    assert_eq!(report.panicked_shards, 0);
+    assert_eq!(report.streams.len(), 2, "no stream is lost");
+    for (id, spec, schema, instances) in &feeds {
+        let served = &report.streams.iter().find(|s| s.stream == *id).unwrap().result;
+        let sequential = PipelineBuilder::new()
+            .stream(ReplayStream::new(schema.clone(), instances.clone()))
+            .stream_label(id.to_string())
+            .detector_spec(deterministic_spec(&registry, config.base_seed, id, spec))
+            .config(config.run)
+            .run()
+            .unwrap();
+        assert_eq!(served.detections, sequential.detections, "{id}: drift offsets");
+        assert_eq!(served.instances, sequential.instances, "{id}: instance count");
+        assert_eq!(served.pm_auc, sequential.pm_auc, "{id}: pmAUC");
+        assert_eq!(served.pm_gmean, sequential.pm_gmean, "{id}: pmGM");
+        assert_eq!(served.accuracy, sequential.accuracy, "{id}: accuracy");
+        assert_eq!(served.kappa, sequential.kappa, "{id}: kappa");
+    }
+    server.shutdown();
+}
+
 /// A TCP client can fetch a `Metrics` snapshot and a `HealthSnapshot`
 /// mid-run: structural counters (enqueued/processed instances) are always
 /// recorded, so the snapshot is non-trivial even without `RBM_OBS=on`, and
@@ -334,7 +393,7 @@ fn metrics_and_health_are_queryable_mid_run() {
     let addr = server.local_addr();
     let client = NetClient::connect(addr).expect("connect");
     let feed = client
-        .attach("feed", StreamSchema::new("feed", 2, 2), &DetectorSpec::new("ddm"))
+        .attach("feed", StreamSchema::new("feed", 2, 2), &DetectorSpec::new("rddm"))
         .expect("attach");
     feed.ingest_batch((0..50).map(|i| Instance::with_index(vec![0.3, 0.7], 0, i)).collect())
         .expect("ingest");
@@ -492,7 +551,7 @@ fn operations_after_shutdown_answer_unavailable() {
     let first = NetClient::connect(addr).expect("connect first");
     let survivor = NetClient::connect(addr).expect("connect survivor");
     first
-        .attach("feed", StreamSchema::new("feed", 2, 2), &DetectorSpec::new("ddm"))
+        .attach("feed", StreamSchema::new("feed", 2, 2), &DetectorSpec::new("rddm"))
         .expect("attach")
         .ingest_batch(vec![Instance::with_index(vec![0.1, 0.9], 1, 0)])
         .expect("ingest");
@@ -508,7 +567,7 @@ fn operations_after_shutdown_answer_unavailable() {
     assert!(is_unavailable(survivor.detach("feed").expect_err("detach after shutdown")));
     assert!(is_unavailable(
         survivor
-            .attach("late", StreamSchema::new("late", 2, 2), &DetectorSpec::new("ddm"))
+            .attach("late", StreamSchema::new("late", 2, 2), &DetectorSpec::new("rddm"))
             .expect_err("attach after shutdown")
     ));
     assert!(is_unavailable(survivor.shutdown().expect_err("second shutdown")));
@@ -540,7 +599,7 @@ fn truncated_reply_mid_frame_surfaces_cleanly_and_reconnect_recovers() {
     // Clean phase: nothing armed, the connection behaves normally.
     let client = NetClient::connect(addr).expect("connect");
     let feed = client
-        .attach("crashy", StreamSchema::new("crashy", 2, 2), &DetectorSpec::new("ddm"))
+        .attach("crashy", StreamSchema::new("crashy", 2, 2), &DetectorSpec::new("rddm"))
         .expect("attach");
     feed.ingest_batch((0..20).map(|i| Instance::with_index(vec![0.4, 0.6], 0, i)).collect())
         .expect("clean ingest");

@@ -396,6 +396,9 @@ pub(crate) struct ShardWorker {
     hibernations_dirty: Arc<Counter>,
     /// Cold slots whose rehydrate failed (unreadable/corrupt checkpoint).
     rehydrate_failures: Arc<Counter>,
+    /// Instances rejected against their stream's schema
+    /// (`rbm_serve_invalid_instances_total{shard}`), see [`fits`].
+    invalid_instances: Arc<Counter>,
     /// Shared unregistered histogram handed to every stream while
     /// `RBM_OBS` is off. Per-stream step histograms are ~2 KB of buckets
     /// each and registration takes the registry mutex — at 100k+ streams
@@ -436,6 +439,7 @@ impl ShardWorker {
         let hibernations_dirty =
             metrics.counter("rbm_serve_hibernations_total", &[("kind", "dirty")]);
         let rehydrate_failures = metrics.counter("rbm_serve_rehydrate_failures_total", &[]);
+        let invalid_instances = metrics.counter("rbm_serve_invalid_instances_total", labels);
         ShardWorker {
             index,
             registry,
@@ -454,6 +458,7 @@ impl ShardWorker {
             hibernations_clean,
             hibernations_dirty,
             rehydrate_failures,
+            invalid_instances,
             step_sink: Arc::new(Histogram::new()),
             faults,
             messages_seen: 0,
@@ -703,13 +708,22 @@ impl ShardWorker {
         // Timing never influences stepping, so results are bitwise
         // identical with observability on or off.
         let started = if rbm_im_obs::enabled() { Some(Instant::now()) } else { None };
-        match payload {
-            Payload::One(instance) => state.stepper.step(instance, &mut on_event),
-            Payload::Many(instances) => {
-                for instance in instances {
-                    state.stepper.step(instance, &mut on_event);
-                }
+        // Every instance reaching a stepper passes here, replays after a
+        // restore or unpark included, so one check guards them all.
+        let mut invalid = 0;
+        let mut step = |instance: Instance| {
+            if fits(&state.schema, &instance) {
+                state.stepper.step(instance, &mut on_event);
+            } else {
+                invalid += 1;
             }
+        };
+        match payload {
+            Payload::One(instance) => step(instance),
+            Payload::Many(instances) => instances.into_iter().for_each(step),
+        }
+        if invalid > 0 {
+            self.invalid_instances.add(invalid);
         }
         state.last_active = Instant::now();
         if let Some(started) = started {
@@ -1091,6 +1105,14 @@ impl ShardWorker {
         });
         result
     }
+}
+
+/// Whether `instance` fits `schema`. A stepper panics on a wrong feature
+/// count or a class outside `0..num_classes`, which would take the whole
+/// shard and every stream on it down, so the shard drops such an instance
+/// and counts it instead.
+fn fits(schema: &StreamSchema, instance: &Instance) -> bool {
+    instance.features.len() == schema.num_features && instance.class < schema.num_classes
 }
 
 /// The bus event a restore publishes, by restore kind.

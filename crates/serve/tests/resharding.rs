@@ -48,9 +48,9 @@ fn fleet() -> Vec<Feed> {
     let specs = [
         "rbm(mini_batch=25, warmup=4, persistence=1)",
         "adwin(delta=0.01)",
-        "ddm",
+        "rddm",
         "rbm-im(minibatch=25, hidden=8, warmup=4, persistence=1)",
-        "hddm-w",
+        "wstd",
         "rbm(mini_batch=25, warmup=4, persistence=1, learning_rate=0.1)",
     ];
     (0..12)

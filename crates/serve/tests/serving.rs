@@ -61,7 +61,7 @@ fn fleet() -> Vec<Feed> {
         "rbm-im(minibatch=25, hidden=8, warmup=4, persistence=1)",
         "adwin(delta=0.01)",
         "rbm(mini_batch=25, warmup=4, persistence=1, learning_rate=0.1)",
-        "ddm",
+        "rddm",
         "adwin",
     ];
     specs
@@ -391,6 +391,50 @@ fn lifecycle_errors_and_unknown_ingest_are_surfaced() {
     let report = server.shutdown();
     assert_eq!(report.dropped_unknown, 1);
     assert_eq!(report.streams.len(), 1, "only `dup` was still attached");
+}
+
+/// Instances that do not fit their stream's schema (a wrong feature count,
+/// a class outside `0..num_classes`) are dropped and counted before they
+/// reach a stepper, which would otherwise panic and take the shard down
+/// with every stream on it. Both streams share the one shard; the bad
+/// instances arrive once alone and once inside a micro-batch.
+#[test]
+fn malformed_instances_are_counted_and_never_reach_a_stepper() {
+    let run = run_config(25);
+    let server = ServerHandle::start(ServeConfig { num_shards: 1, run, ..Default::default() });
+    // Fleet feeds 0 (`rbm`) and 4 (`rddm`).
+    let feeds: Vec<Feed> = fleet().into_iter().step_by(4).collect();
+    let clients: Vec<StreamClient> = feeds
+        .iter()
+        .map(|feed| server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap())
+        .collect();
+
+    let bad = &feeds[0];
+    let wrong_length = Instance::with_index(vec![0.5; bad.schema.num_features + 1], 0, 10_000);
+    let wrong_class =
+        Instance::with_index(vec![0.5; bad.schema.num_features], bad.schema.num_classes, 10_001);
+    let (head, tail) = bad.instances.split_at(1_000);
+    ingest_all(&clients[0], head.to_vec());
+    clients[0].ingest(wrong_length).unwrap();
+    let mut batch = tail[..50].to_vec();
+    batch.push(wrong_class);
+    batch.extend_from_slice(&tail[50..100]);
+    ingest_all(&clients[0], batch);
+    ingest_all(&clients[0], tail[100..].to_vec());
+    ingest_all(&clients[1], feeds[1].instances.clone());
+    server.drain();
+
+    let invalid = server.metrics().snapshot().counter_total("rbm_serve_invalid_instances_total");
+    assert_eq!(invalid, 2, "both malformed instances are counted");
+    let sequential: Vec<RunResult> =
+        feeds.iter().map(|feed| sequential_baseline(&server, feed, run)).collect();
+    let report = server.shutdown();
+    assert_eq!(report.panicked_shards, 0);
+    assert_eq!(report.streams.len(), 2, "no stream is lost");
+    for (feed, sequential) in feeds.iter().zip(&sequential) {
+        let served = &report.streams.iter().find(|s| s.stream == feed.id).unwrap().result;
+        assert_results_match(&feed.id, served, sequential);
+    }
 }
 
 /// The bus carries the full lifecycle: attach notice, periodic metric

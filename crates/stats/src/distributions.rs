@@ -4,8 +4,8 @@
 //! The drift detectors and statistical post-processing only require a small
 //! set of distributions:
 //!
-//! * [`Normal`] — DDM/EDDM-style detectors, Wilcoxon normal approximation,
-//!   Bonferroni–Dunn critical values;
+//! * [`Normal`] — Wilcoxon normal approximation, Bonferroni–Dunn critical
+//!   values;
 //! * [`StudentsT`] — regression-coefficient significance;
 //! * [`ChiSquared`] — Friedman test statistic;
 //! * [`FisherF`] — Granger causality F-test (the decision rule inside

@@ -1,8 +1,8 @@
-//! Hoeffding / McDiarmid concentration bounds.
+//! The Hoeffding concentration bound.
 //!
-//! The HDDM and FHDDM reference detectors base their decision rules on
-//! Hoeffding's inequality: with probability `1 - δ` the empirical mean of
-//! `n` independent observations bounded in `[0, 1]` deviates from its
+//! The FHDDM reference detector bases its decision rule on Hoeffding's
+//! inequality: with probability `1 - δ` the empirical mean of `n`
+//! independent observations bounded in `[0, 1]` deviates from its
 //! expectation by at most `ε = sqrt(ln(1/δ) / (2n))`.
 
 /// Hoeffding bound `ε = sqrt(ln(1/δ) / (2 n))` for `n` observations in
@@ -15,28 +15,6 @@ pub fn hoeffding_bound(range: f64, delta: f64, n: u64) -> f64 {
     assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1), got {delta}");
     assert!(range > 0.0, "range must be > 0, got {range}");
     (range * range * (1.0 / delta).ln() / (2.0 * n as f64)).sqrt()
-}
-
-/// Hoeffding bound for the *difference of two means* computed over windows
-/// of sizes `n0` and `n1` (the form used by drift detectors comparing a
-/// historical window with a recent window): uses the harmonic mean of the
-/// window sizes.
-pub fn hoeffding_bound_two_means(range: f64, delta: f64, n0: u64, n1: u64) -> f64 {
-    assert!(n0 > 0 && n1 > 0, "both window sizes must be > 0");
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1), got {delta}");
-    assert!(range > 0.0, "range must be > 0, got {range}");
-    let m = 1.0 / (1.0 / n0 as f64 + 1.0 / n1 as f64);
-    (range * range * (1.0 / delta).ln() / (2.0 * m)).sqrt()
-}
-
-/// McDiarmid-style bound used by the HDDM-W (weighted) detector with EWMA
-/// weights: `ε = sqrt(Σ c_i² · ln(1/δ) / 2)` where `c_i` are the bounded
-/// differences. For an EWMA with factor `λ` over `n` terms the sum of squared
-/// weights converges to `λ / (2 − λ)`.
-pub fn mcdiarmid_bound(sum_squared_weights: f64, delta: f64) -> f64 {
-    assert!(sum_squared_weights > 0.0, "sum of squared weights must be > 0");
-    assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1), got {delta}");
-    (sum_squared_weights * (1.0 / delta).ln() / 2.0).sqrt()
 }
 
 #[cfg(test)]
@@ -65,32 +43,6 @@ mod tests {
         let unit = hoeffding_bound(1.0, 0.05, 200);
         let doubled = hoeffding_bound(2.0, 0.05, 200);
         assert!((doubled - 2.0 * unit).abs() < 1e-12);
-    }
-
-    #[test]
-    fn two_means_bound_uses_harmonic_mean() {
-        // Equal windows of size n behave like a single window of size n/2.
-        let single = hoeffding_bound(1.0, 0.05, 50);
-        let two = hoeffding_bound_two_means(1.0, 0.05, 100, 100);
-        assert!((single - two).abs() < 1e-9);
-        // Highly unequal windows are dominated by the small one: the
-        // effective (harmonic-mean) sample size is slightly below the small
-        // window, so the bound is marginally looser than the small window's
-        // own bound but far from the large window's.
-        let dominated = hoeffding_bound_two_means(1.0, 0.05, 10, 1_000_000);
-        let small_only = hoeffding_bound(1.0, 0.05, 10);
-        let large_only = hoeffding_bound(1.0, 0.05, 1_000_000);
-        assert!(dominated >= small_only && dominated < 1.01 * small_only);
-        assert!(dominated > 10.0 * large_only);
-    }
-
-    #[test]
-    fn mcdiarmid_matches_hoeffding_for_uniform_weights() {
-        // With n uniform weights 1/n, Σ c_i² = 1/n and the bound reduces to Hoeffding's.
-        let n = 400_u64;
-        let h = hoeffding_bound(1.0, 0.02, n);
-        let m = mcdiarmid_bound(1.0 / n as f64, 0.02);
-        assert!((h - m).abs() < 1e-12);
     }
 
     #[test]

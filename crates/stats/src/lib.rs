@@ -10,14 +10,12 @@
 //! * ordinary least squares (simple and multivariate) on small systems,
 //! * the Granger causality test on first differences (used by RBM-IM to
 //!   decide whether the reconstruction-error trend of a class has changed),
-//! * the Hoeffding bound (used by HDDM / FHDDM detectors),
+//! * the Hoeffding bound (used by the FHDDM detector),
 //! * Wilcoxon rank-sum and signed-rank tests (used by the WSTD detector),
 //! * the Friedman ranking test with the Bonferroni–Dunn post-hoc procedure
 //!   and the Bayesian signed test (used in the paper's statistical analysis,
 //!   Figs. 4–7),
-//! * the Nelder–Mead simplex optimizer (used for online self
-//!   hyper-parameter tuning, Sec. VI-B of the paper),
-//! * online (incremental) statistics: Welford mean/variance, EWMA,
+//! * online (incremental) statistics: Welford mean/variance and
 //!   sliding-window moments.
 //!
 //! All routines are pure Rust with no external numerical dependencies so the
@@ -32,7 +30,6 @@ pub mod friedman;
 pub mod granger;
 pub mod hoeffding;
 pub mod matrix;
-pub mod nelder_mead;
 pub mod online;
 pub mod regression;
 pub mod special;
@@ -43,10 +40,9 @@ pub use descriptive::{mean, median, rank_with_ties, std_dev, variance};
 pub use distributions::{ChiSquared, FisherF, Normal, StudentsT};
 pub use friedman::{bonferroni_dunn_critical_difference, friedman_test, FriedmanResult};
 pub use granger::{granger_causality, GrangerResult};
-pub use hoeffding::{hoeffding_bound, mcdiarmid_bound};
+pub use hoeffding::hoeffding_bound;
 pub use matrix::Matrix;
-pub use nelder_mead::{NelderMead, NelderMeadConfig};
-pub use online::{Ewma, SlidingWindowStats, WelfordStats};
+pub use online::{SlidingWindowStats, WelfordStats};
 pub use regression::{ols_multi, simple_linear_regression, OlsFit, SimpleRegression};
 pub use special::{
     erf, erfc, ln_gamma, regularized_beta, regularized_gamma_p, regularized_gamma_q,

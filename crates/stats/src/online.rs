@@ -1,12 +1,11 @@
-//! Online (incremental) statistics used by streaming components.
+//! Online (incremental) statistics.
 //!
-//! * [`WelfordStats`] — numerically stable running mean / variance, the
-//!   backbone of DDM-style detectors;
-//! * [`Ewma`] — exponentially weighted moving average, used by HDDM-W and
-//!   ECDD-style detectors;
+//! * [`WelfordStats`] — numerically stable running mean / variance;
 //! * [`SlidingWindowStats`] — fixed-capacity window with O(1) mean/variance
-//!   updates, used by windowed detectors (FHDDM, WSTD) and by RBM-IM's
-//!   reconstruction-error trend windows.
+//!   updates.
+//!
+//! The detectors keep their own windows; nothing outside this crate's
+//! tests and the workspace property tests calls these types.
 
 use std::collections::VecDeque;
 
@@ -68,7 +67,7 @@ impl WelfordStats {
 
     /// Standard deviation of the mean estimate of a Bernoulli variable with
     /// probability equal to the running mean — the `s_i = sqrt(p(1-p)/n)`
-    /// quantity used by DDM.
+    /// quantity of DDM-style detectors.
     pub fn bernoulli_std(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -80,84 +79,6 @@ impl WelfordStats {
     /// Resets the accumulator.
     pub fn reset(&mut self) {
         *self = Self::default();
-    }
-}
-
-/// Exponentially weighted moving average with optional variance tracking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ewma {
-    lambda: f64,
-    value: f64,
-    /// Sum of squared weights, needed for McDiarmid-style bounds.
-    sum_sq_weights: f64,
-    initialized: bool,
-    count: u64,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `lambda` in `(0, 1]`; larger
-    /// values weight recent observations more heavily.
-    ///
-    /// # Panics
-    /// Panics if `lambda` is outside `(0, 1]`.
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda > 0.0 && lambda <= 1.0, "lambda must be in (0,1], got {lambda}");
-        Ewma { lambda, value: 0.0, sum_sq_weights: 0.0, initialized: false, count: 0 }
-    }
-
-    /// Adds one observation and returns the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        if self.initialized {
-            self.value = self.lambda * x + (1.0 - self.lambda) * self.value;
-        } else {
-            self.value = x;
-            self.initialized = true;
-        }
-        // Recurrence for the sum of squared effective weights.
-        self.sum_sq_weights = self.lambda * self.lambda
-            + (1.0 - self.lambda) * (1.0 - self.lambda) * self.sum_sq_weights;
-        self.count += 1;
-        self.value
-    }
-
-    /// Current smoothed value (0.0 before any observation).
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// The complete mutable state `(value, sum_sq_weights, initialized,
-    /// count)` — checkpoint support for detectors embedding an EWMA
-    /// (HDDM-W); restored with [`Ewma::restore_raw`].
-    pub fn raw_state(&self) -> (f64, f64, bool, u64) {
-        (self.value, self.sum_sq_weights, self.initialized, self.count)
-    }
-
-    /// Restores state captured by [`Ewma::raw_state`] onto an EWMA with the
-    /// same `lambda`.
-    pub fn restore_raw(&mut self, value: f64, sum_sq_weights: f64, initialized: bool, count: u64) {
-        self.value = value;
-        self.sum_sq_weights = sum_sq_weights;
-        self.initialized = initialized;
-        self.count = count;
-    }
-
-    /// Sum of squared weights of the implicit weighted average — converges
-    /// to `λ / (2 − λ)`.
-    pub fn sum_squared_weights(&self) -> f64 {
-        self.sum_sq_weights
-    }
-
-    /// Number of observations seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Resets the average to its uninitialized state.
-    pub fn reset(&mut self) {
-        self.value = 0.0;
-        self.sum_sq_weights = 0.0;
-        self.initialized = false;
-        self.count = 0;
     }
 }
 
@@ -299,57 +220,6 @@ mod tests {
         w.reset();
         assert_eq!(w.count(), 0);
         assert_eq!(w.mean(), 0.0);
-    }
-
-    #[test]
-    fn ewma_constant_input_converges_to_it() {
-        let mut e = Ewma::new(0.2);
-        for _ in 0..100 {
-            e.update(3.5);
-        }
-        assert!((e.value() - 3.5).abs() < 1e-12);
-        assert_eq!(e.count(), 100);
-    }
-
-    #[test]
-    fn ewma_tracks_level_shift() {
-        let mut e = Ewma::new(0.3);
-        for _ in 0..50 {
-            e.update(0.0);
-        }
-        for _ in 0..50 {
-            e.update(1.0);
-        }
-        assert!(e.value() > 0.99, "ewma should have converged to the new level, got {}", e.value());
-    }
-
-    #[test]
-    fn ewma_sum_sq_weights_limit() {
-        let lambda = 0.05;
-        let mut e = Ewma::new(lambda);
-        for _ in 0..2000 {
-            e.update(1.0);
-        }
-        let limit = lambda / (2.0 - lambda);
-        assert!((e.sum_squared_weights() - limit).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ewma_reset() {
-        let mut e = Ewma::new(0.5);
-        e.update(10.0);
-        e.reset();
-        assert_eq!(e.value(), 0.0);
-        assert_eq!(e.count(), 0);
-        // First value after reset initializes directly.
-        e.update(4.0);
-        assert_eq!(e.value(), 4.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn ewma_rejects_bad_lambda() {
-        Ewma::new(0.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Builds a 4-class RBF stream with a 10:1 imbalance, injects a sudden drift
 //! into the *smallest class only* halfway through, and runs two pipelines on
 //! identical copies of the stream: one driven by RBM-IM (which sees the
-//! mini-batched feature distribution of every class) and one driven by DDM
+//! mini-batched feature distribution of every class) and one driven by RDDM
 //! (which only sees the classifier's global error rate). Drift events stream
 //! out of the pipeline through an `on_event` sink, including the per-class
 //! attribution RBM-IM provides.
@@ -66,21 +66,21 @@ fn main() {
 
     // Pipeline 2: the same stream, same classifier, but a global
     // error-rate detector.
-    let ddm_result = PipelineBuilder::new()
+    let rddm_result = PipelineBuilder::new()
         .stream(build_stream())
-        .detector_spec(DetectorSpec::new("ddm"))
+        .detector_spec(DetectorSpec::new("rddm"))
         .config(config)
         .run()
         .expect("quickstart pipeline is fully specified");
     println!(
-        "\nDDM (global error monitoring) raised {} drift signal(s): {:?}",
-        ddm_result.drift_count(),
-        ddm_result.detections
+        "\nRDDM (global error monitoring) raised {} drift signal(s): {:?}",
+        rddm_result.drift_count(),
+        rddm_result.detections
     );
 
     println!(
-        "\npmAUC: RBM-IM-driven {:.2}%  vs  DDM-driven {:.2}%",
-        rbm_result.pm_auc, ddm_result.pm_auc
+        "\npmAUC: RBM-IM-driven {:.2}%  vs  RDDM-driven {:.2}%",
+        rbm_result.pm_auc, rddm_result.pm_auc
     );
     let attributed = drift_log
         .borrow()
