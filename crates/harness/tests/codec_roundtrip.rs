@@ -1,6 +1,6 @@
 //! Property tests of the binary checkpoint codec: for arbitrary serde
 //! [`Value`] trees — including the shapes real checkpoints produce (packed
-//! number arrays, uniform matrices, interned repeated keys, non-finite
+//! number arrays, nested arrays, interned repeated keys, non-finite
 //! float *strings*, ±0.0, 2^53 boundary integers) — `decode(encode(v))`
 //! must reproduce the tree **exactly**, a binary-serialized pipeline
 //! checkpoint must resume bitwise-identically to an uninterrupted run, and
@@ -61,8 +61,7 @@ fn arb_value(rng: &mut TestRng, fuel: &mut u32, depth: u32) -> Value {
                     .collect(),
             )
         }
-        // Uniform matrices (the columnar re-blocking path), sometimes
-        // made ragged so the fallback is exercised too.
+        // Arrays of equal-length arrays (state rows), sometimes ragged.
         7 => {
             let rows = rng.below(12) as usize;
             let width = 1 + rng.below(4) as usize;

@@ -187,23 +187,26 @@ impl WindowedMultiClassAuc {
 
     /// Captures the window contents as a serde value (checkpoint support);
     /// restored with [`WindowedMultiClassAuc::restore_state`] onto an
-    /// estimator of the same shape. The window travels oldest first as
-    /// `[scores, true_class]` pairs.
+    /// estimator of the same shape. The window travels oldest row first as
+    /// two flat arrays: `scores`, row-major with `num_classes` scores per
+    /// row, and `classes`, the true class of each row.
     pub fn snapshot_state(&self) -> serde::Value {
         use serde::{Serialize, Value};
-        let c = self.num_classes;
-        let window = (self.head..self.len())
-            .chain(0..self.head)
-            .map(|row| (&self.scores[row * c..(row + 1) * c], self.classes[row]).serialize_value())
-            .collect();
+        let split = self.head * self.num_classes;
+        let scores = self.scores[split..].iter().chain(&self.scores[..split]);
+        let classes = self.classes[self.head..].iter().chain(&self.classes[..self.head]);
         Value::object(vec![
-            ("num_classes", c.serialize_value()),
+            ("num_classes", self.num_classes.serialize_value()),
             ("capacity", self.capacity.serialize_value()),
-            ("window", Value::Array(window)),
+            ("scores", Value::Array(scores.map(Serialize::serialize_value).collect())),
+            ("classes", Value::Array(classes.map(Serialize::serialize_value).collect())),
         ])
     }
 
     /// Restores state captured by [`WindowedMultiClassAuc::snapshot_state`].
+    /// A window over capacity, a `scores` array that is not `num_classes`
+    /// per class entry, or an out-of-range class is rejected and leaves
+    /// the estimator untouched.
     pub fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
         let num_classes: usize = state.field("num_classes")?;
         let capacity: usize = state.field("capacity")?;
@@ -214,26 +217,32 @@ impl WindowedMultiClassAuc {
                 self.num_classes, self.capacity
             )));
         }
-        let window: Vec<(Vec<f64>, usize)> = state.field("window")?;
-        if window.len() > capacity {
+        let scores: Vec<f64> = state.field("scores")?;
+        let classes: Vec<usize> = state.field("classes")?;
+        if classes.len() > capacity {
             return Err(serde::Error::msg(format!(
                 "auc window holds {} predictions, capacity is {capacity}",
-                window.len()
+                classes.len()
             )));
         }
-        if let Some((scores, class)) = window
-            .iter()
-            .find(|(scores, class)| scores.len() != num_classes || *class >= num_classes)
-        {
+        if scores.len() != classes.len() * num_classes {
             return Err(serde::Error::msg(format!(
-                "auc window entry has {} scores and class {class}, estimator has {num_classes} \
-                 classes",
-                scores.len()
+                "auc window holds {} scores for {} predictions of {num_classes} classes",
+                scores.len(),
+                classes.len()
+            )));
+        }
+        if let Some(class) = classes.iter().find(|&&class| class >= num_classes) {
+            return Err(serde::Error::msg(format!(
+                "auc window class {class} is out of range for {num_classes} classes"
             )));
         }
         self.reset();
-        for (scores, class) in &window {
-            self.record(scores, *class);
+        self.scores.extend_from_slice(&scores);
+        for &class in &classes {
+            // Lossless: `class < num_classes`, which fits in a u32.
+            self.classes.push(class as u32);
+            self.class_counts[class] += 1;
         }
         Ok(())
     }
@@ -439,18 +448,20 @@ mod tests {
             auc.record(scores, class);
         }
         let state = auc.snapshot_state();
-        let with_window = |window: &str| {
+        let with_window = |scores: &str, classes: &str| {
             let json = serde_json::to_string(&state).unwrap();
-            let start = json.find("\"window\":").unwrap() + "\"window\":".len();
-            serde_json::parse_value(&format!("{}{window}}}", &json[..start])).unwrap()
+            let start = json.find("\"scores\":").unwrap();
+            let window = format!("\"scores\":{scores},\"classes\":{classes}}}");
+            serde_json::parse_value(&format!("{}{window}", &json[..start])).unwrap()
         };
         let mut target = WindowedMultiClassAuc::new(2, 3);
-        assert!(target.restore_state(&with_window("[[[0.5],0]]")).is_err(), "short score row");
-        assert!(target.restore_state(&with_window("[[[0.5,0.5],2]]")).is_err(), "class range");
-        let four = "[[[0.5,0.5],0],[[0.5,0.5],0],[[0.5,0.5],1],[[0.5,0.5],1]]";
-        assert!(target.restore_state(&with_window(four)).is_err(), "over capacity");
+        assert!(target.restore_state(&with_window("[0.5]", "[0]")).is_err(), "short score row");
+        assert!(target.restore_state(&with_window("[0.5,0.5,0.5]", "[0]")).is_err(), "long row");
+        assert!(target.restore_state(&with_window("[0.5,0.5]", "[2]")).is_err(), "class range");
+        let four = with_window("[0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5]", "[0,0,1,1]");
+        assert!(target.restore_state(&four).is_err(), "over capacity");
         assert!(target.is_empty(), "a rejected window leaves the estimator untouched");
-        target.restore_state(&with_window("[[[0.5,0.5],0],[[0.7,0.3],1]]")).unwrap();
+        target.restore_state(&with_window("[0.5,0.5,0.7,0.3]", "[0,1]")).unwrap();
         assert_eq!(target.len(), 2);
         assert_eq!(target.auc(), 0.0);
     }

@@ -161,21 +161,29 @@ impl PrequentialEvaluator {
     }
 
     /// Captures the evaluator's complete mutable state — the AUC window,
-    /// the windowed confusion matrix, the latest periodic snapshot (as the
-    /// `snapshots` list, holding at most one entry) and the running stream
-    /// averages — as a serde value. Restored with
-    /// [`PrequentialEvaluator::restore_state`] onto an evaluator built with
-    /// the same class count and window size, the evaluator continues
-    /// bitwise-identically to one that was never checkpointed.
+    /// the windowed confusion matrix, the `(true, predicted)` window as two
+    /// flat class arrays (`recent_true`, `recent_predicted`, oldest first),
+    /// the latest periodic snapshot (as the `snapshots` list, holding at
+    /// most one entry) and the running stream averages — as a serde value.
+    /// Restored with [`PrequentialEvaluator::restore_state`] onto an
+    /// evaluator built with the same class count and window size, the
+    /// evaluator continues bitwise-identically to one that was never
+    /// checkpointed.
     pub fn snapshot_state(&self) -> serde::Value {
-        serde::Value::object(vec![
+        use serde::Value;
+        Value::object(vec![
             ("num_classes", self.num_classes.serialize_value()),
             ("window_size", self.window_size.serialize_value()),
             ("auc", self.auc.snapshot_state()),
             ("window_confusion", self.window_confusion.serialize_value()),
-            // A u32 serializes to the same number a usize does, so the
-            // snapshot (and the checkpoint bytes) match the usize form.
-            ("recent", self.recent.serialize_value()),
+            (
+                "recent_true",
+                Value::Array(self.recent.iter().map(|(t, _)| t.serialize_value()).collect()),
+            ),
+            (
+                "recent_predicted",
+                Value::Array(self.recent.iter().map(|(_, p)| p.serialize_value()).collect()),
+            ),
             ("snapshots", self.last.as_slice().serialize_value()),
             ("count", self.count.serialize_value()),
             ("sum_auc", self.sum_auc.serialize_value()),
@@ -186,8 +194,9 @@ impl PrequentialEvaluator {
 
     /// Restores state captured by [`PrequentialEvaluator::snapshot_state`].
     /// Fails if the snapshot was taken with a different class count or
-    /// window size. A longer `snapshots` history, as older checkpoints
-    /// carry, restores its last entry.
+    /// window size, or if its class arrays differ in length, exceed the
+    /// window or hold an out-of-range class. A longer `snapshots` history,
+    /// as older checkpoints carry, restores its last entry.
     pub fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
         let num_classes: usize = state.field("num_classes")?;
         let window_size: usize = state.field("window_size")?;
@@ -204,23 +213,30 @@ impl PrequentialEvaluator {
         if self.window_confusion.num_classes() != self.num_classes {
             return Err(serde::Error::msg("confusion matrix class count mismatch"));
         }
-        let recent: Vec<(usize, usize)> = state.field("recent")?;
-        if recent.len() > self.window_size {
+        let truth: Vec<usize> = state.field("recent_true")?;
+        let predicted: Vec<usize> = state.field("recent_predicted")?;
+        if truth.len() != predicted.len() {
+            return Err(serde::Error::msg(format!(
+                "evaluator window holds {} true and {} predicted classes",
+                truth.len(),
+                predicted.len()
+            )));
+        }
+        if truth.len() > self.window_size {
             return Err(serde::Error::msg(format!(
                 "evaluator window holds {} predictions, window size is {}",
-                recent.len(),
+                truth.len(),
                 self.window_size
             )));
         }
-        if let Some(&(t, p)) =
-            recent.iter().find(|&&(t, p)| t >= self.num_classes || p >= self.num_classes)
-        {
+        if let Some(class) = truth.iter().chain(&predicted).find(|&&c| c >= self.num_classes) {
             return Err(serde::Error::msg(format!(
-                "evaluator window pair ({t}, {p}) is out of range for {} classes",
+                "evaluator window class {class} is out of range for {} classes",
                 self.num_classes
             )));
         }
-        self.recent = recent.into_iter().map(|(t, p)| (t as u32, p as u32)).collect();
+        self.recent.clear();
+        self.recent.extend(truth.iter().zip(&predicted).map(|(&t, &p)| (t as u32, p as u32)));
         self.last = state.field::<Vec<PrequentialSnapshot>>("snapshots")?.pop();
         self.count = state.field("count")?;
         self.sum_auc = state.field("sum_auc")?;
@@ -452,5 +468,38 @@ mod tests {
         restored.restore_state(&legacy).unwrap();
         assert_eq!(restored.last_snapshot(), Some(history[0]));
         assert_eq!(restored.snapshot_state(), ev.snapshot_state());
+    }
+
+    #[test]
+    fn restore_rejects_malformed_recent_windows() {
+        let mut ev = PrequentialEvaluator::new(3, 4);
+        for i in 0..3 {
+            ev.record(i % 3, (i + 1) % 3, &one_hot(3, i % 3));
+        }
+        let state = ev.snapshot_state();
+        let with_recent = |truth: &[usize], predicted: &[usize]| match &state {
+            serde::Value::Object(fields) => serde::Value::Object(
+                fields
+                    .iter()
+                    .map(|(key, value)| match key.as_str() {
+                        "recent_true" => (key.clone(), truth.serialize_value()),
+                        "recent_predicted" => (key.clone(), predicted.serialize_value()),
+                        _ => (key.clone(), value.clone()),
+                    })
+                    .collect(),
+            ),
+            other => panic!("evaluator state is an object, got {other:?}"),
+        };
+        let mut target = PrequentialEvaluator::new(3, 4);
+        for (truth, predicted, case) in [
+            (&[0, 1][..], &[0][..], "length mismatch"),
+            (&[0, 1, 2, 0, 1][..], &[0, 1, 2, 0, 1][..], "over window size"),
+            (&[3][..], &[0][..], "true class range"),
+            (&[0][..], &[3][..], "predicted class range"),
+        ] {
+            assert!(target.restore_state(&with_recent(truth, predicted)).is_err(), "{case}");
+        }
+        target.restore_state(&with_recent(&[0, 1, 2], &[1, 2, 0])).unwrap();
+        assert_eq!(target.snapshot_state(), state);
     }
 }

@@ -102,13 +102,17 @@ impl ReferenceAuc {
         }
     }
 
-    /// Captures the window contents as a serde value.
+    /// Captures the window contents as a serde value, in the flat layout
+    /// of [`crate::auc::WindowedMultiClassAuc::snapshot_state`].
     pub fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize;
+        let scores: Vec<f64> = self.window.iter().flat_map(|(s, _)| s.iter().copied()).collect();
+        let classes: Vec<usize> = self.window.iter().map(|&(_, c)| c).collect();
         serde::Value::object(vec![
             ("num_classes", self.num_classes.serialize_value()),
             ("capacity", self.capacity.serialize_value()),
-            ("window", self.window.serialize_value()),
+            ("scores", scores.serialize_value()),
+            ("classes", classes.serialize_value()),
         ])
     }
 }

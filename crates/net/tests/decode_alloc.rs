@@ -1,9 +1,11 @@
-//! Pins the `Ingest` decoder's allocation bound: a frame's declared
-//! instance count must not make the decoder reserve memory the body
-//! cannot back. A 1 MiB payload that declares 300,000 instances and
-//! breaks at the first one fails as `Malformed`, and the decoder's peak
-//! live allocation stays below the payload's own size (reserving the
-//! declared count up front would take ~12 MB of 40-byte `Instance`s).
+//! Pins the decoders' allocation bound: a frame's declared counts must
+//! not make the decoder reserve memory the body cannot back. A 1 MiB
+//! `Ingest` payload that declares 300,000 instances and breaks at the
+//! first one fails as `Malformed`, and the decoder's peak live allocation
+//! stays below the payload's own size (reserving the declared count up
+//! front would take ~12 MB of 40-byte `Instance`s). An `Attach` frame
+//! whose RBMC body declares 2^22 floats in a few dozen bytes fails as
+//! `Malformed` within 64 KiB.
 //!
 //! A counting global allocator tracks the test thread's live heap bytes;
 //! one test per file, because the allocator is process-wide.
@@ -11,8 +13,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rbm_im_harness::checkpoint::codec::write_varint;
-use rbm_im_net::wire::{decode_payload, encode_payload, FT_INGEST};
+use rbm_im_harness::checkpoint::codec::{crc32c, write_varint, BINARY_MAGIC, BINARY_VERSION};
+use rbm_im_net::wire::{decode_payload, encode_payload, FT_ATTACH, FT_INGEST};
 use rbm_im_net::{Frame, WireError, WIRE_MAGIC, WIRE_VERSION};
 use rbm_im_streams::Instance;
 
@@ -84,6 +86,30 @@ fn lying_ingest(count: u64) -> Vec<u8> {
     payload
 }
 
+/// An `Attach` payload whose RBMC body (with a valid checksum) is one
+/// float pack declaring 2^22 values, followed by eight run-length planes
+/// of 2^22 bytes each in the shape the run-length float packs once had.
+fn lying_attach() -> Vec<u8> {
+    let mut body = BINARY_MAGIC.to_vec();
+    body.extend_from_slice(&BINARY_VERSION.to_le_bytes());
+    write_varint(&mut body, 0); // no keys
+    body.push(0x0A); // float pack tag
+    write_varint(&mut body, 1 << 22);
+    for _ in 0..8 {
+        body.push(1);
+        write_varint(&mut body, 1 << 22);
+        body.push(0x3F);
+    }
+    let checksum = crc32c(&body);
+    body.extend_from_slice(&checksum.to_le_bytes());
+    assert!(body.len() < 100, "{} bytes", body.len());
+    let mut payload = WIRE_MAGIC.to_vec();
+    payload.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    payload.push(FT_ATTACH);
+    payload.extend_from_slice(&body);
+    payload
+}
+
 #[test]
 fn ingest_decode_reserves_no_more_than_the_payload_backs() {
     let payload = lying_ingest(300_000);
@@ -107,4 +133,13 @@ fn ingest_decode_reserves_no_more_than_the_payload_backs() {
     let frame = Frame::Ingest { stream: "s".to_string(), blocking: false, instances };
     let roundtrip = decode_payload(&encode_payload(&frame)).expect("honest frame decodes");
     assert_eq!(format!("{roundtrip:?}"), format!("{frame:?}"));
+
+    // A tiny checkpoint body cannot declare millions of values.
+    let payload = lying_attach();
+    let base = reset_peak();
+    let decoded = decode_payload(&payload);
+    let peak = PEAK.with(Cell::get) - base;
+    assert!(matches!(decoded, Err(WireError::Malformed(_))), "got {decoded:?}");
+    drop(decoded);
+    assert!(peak < 64 << 10, "decoding a hostile Attach body peaked at {peak} live bytes");
 }

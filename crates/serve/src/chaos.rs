@@ -437,14 +437,10 @@ impl crate::sink::SpillIo for ChaosSpillIo {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         let mut bytes = std::fs::read(path)?;
         if self.plane.corrupt_read(path) && !bytes.is_empty() {
-            // Flip a byte inside the RBMC header region (magic / version /
-            // key table), modelling a torn disk block that
-            // surfaces as a *clean load error*. The checkpoint codec
-            // carries no payload checksum, so a mid-payload flip could
-            // decode silently into wrong state — undetectable corruption
-            // is unrecoverable by construction and out of scope for the
-            // zero-loss contract.
-            let at = (mix(path_coords(path)) as usize) % bytes.len().min(8);
+            // Flip a byte anywhere in the file, modelling a torn disk
+            // block: the RBMC CRC32C trailer turns it into a *clean load
+            // error*, never wrong state.
+            let at = (mix(path_coords(path)) as usize) % bytes.len();
             bytes[at] ^= 0xa5;
         }
         Ok(bytes)

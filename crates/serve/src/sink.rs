@@ -25,11 +25,12 @@
 //!   spill schedule, and [`SnapshotSink::load_metrics`] reads the
 //!   generations back oldest-first so history order survives rotation.
 //!
-//! Spills are atomic (a uniquely named temp file + rename), so a crash
-//! mid-spill leaves the previous checkpoint intact, concurrent spills of
-//! one stream never touch each other's temp file, and a truncated or
-//! corrupt file is reported as a clean [`io::Error`] at load — never
-//! silently skipped, never garbage state.
+//! Spills are atomic (a uniquely named temp file + rename), so a process
+//! crash mid-spill leaves the previous checkpoint intact and concurrent
+//! spills of one stream never touch each other's temp file. Spills are
+//! not fsynced, so a power loss can still tear one; a truncated or
+//! corrupt file fails the RBMC CRC32C check and is reported as a clean
+//! [`io::Error`] at load — never silently skipped, never garbage state.
 //!
 //! Stream ids are sanitized into file names (alphanumerics, `-`, `_`, `.`
 //! kept; everything else mapped to `_` plus a hash suffix on collision

@@ -14,9 +14,7 @@
 //! * Wilcoxon rank-sum and signed-rank tests (used by the WSTD detector),
 //! * the Friedman ranking test with the Bonferroni–Dunn post-hoc procedure
 //!   and the Bayesian signed test (used in the paper's statistical analysis,
-//!   Figs. 4–7),
-//! * online (incremental) statistics: Welford mean/variance and
-//!   sliding-window moments.
+//!   Figs. 4–7).
 //!
 //! All routines are pure Rust with no external numerical dependencies so the
 //! whole reproduction is self-contained and auditable.
@@ -30,7 +28,6 @@ pub mod friedman;
 pub mod granger;
 pub mod hoeffding;
 pub mod matrix;
-pub mod online;
 pub mod regression;
 pub mod special;
 pub mod wilcoxon;
@@ -42,7 +39,6 @@ pub use friedman::{bonferroni_dunn_critical_difference, friedman_test, FriedmanR
 pub use granger::{granger_causality, GrangerResult};
 pub use hoeffding::hoeffding_bound;
 pub use matrix::Matrix;
-pub use online::{SlidingWindowStats, WelfordStats};
 pub use regression::{ols_multi, simple_linear_regression, OlsFit, SimpleRegression};
 pub use special::{
     erf, erfc, ln_gamma, regularized_beta, regularized_gamma_p, regularized_gamma_q,

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use rbm_im_metrics::{evaluate_detections, StreamingConfusionMatrix, WindowedMultiClassAuc};
 use rbm_im_stats::descriptive::rank_with_ties;
 use rbm_im_stats::friedman::friedman_test;
-use rbm_im_stats::online::SlidingWindowStats;
 use rbm_im_streams::generators::RandomRbfGenerator;
 use rbm_im_streams::imbalance::ImbalanceProfile;
 use rbm_im_streams::StreamExt;
@@ -71,19 +70,6 @@ proptest! {
         let sum: f64 = result.average_ranks.iter().sum();
         prop_assert!((sum - k * (k + 1.0) / 2.0).abs() < 1e-9);
         prop_assert!((0.0..=1.0).contains(&result.p_value));
-    }
-
-    /// Sliding-window statistics never go negative on variance and track the
-    /// window length exactly.
-    #[test]
-    fn sliding_window_stats_invariants(values in prop::collection::vec(-1e3f64..1e3, 1..200)) {
-        let mut w = SlidingWindowStats::new(32);
-        for &v in &values {
-            w.push(v);
-        }
-        prop_assert!(w.len() <= 32);
-        prop_assert_eq!(w.len(), values.len().min(32));
-        prop_assert!(w.variance() >= 0.0);
     }
 
     /// Imbalance profiles always yield a normalized probability vector and an
