@@ -68,6 +68,16 @@ impl Gauge {
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    /// Adds 1 unless the value is already at or above `limit`, in one
+    /// compare-and-swap loop, and says whether it added. Of concurrent
+    /// callers racing for the last unit below `limit`, exactly one gets
+    /// it — a gauge doubles as a fleet-wide slot reservation this way.
+    pub fn inc_below(&self, limit: i64) -> bool {
+        self.0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| (v < limit).then_some(v + 1))
+            .is_ok()
+    }
 }
 
 /// Fully-qualified metric identity: name plus ordered label pairs.
@@ -357,5 +367,32 @@ mod tests {
         let merged = reg.snapshot().merged_histogram("h_seconds");
         assert_eq!(merged.count(), 2);
         assert_eq!(merged.sum, 30);
+    }
+
+    #[test]
+    fn inc_below_grants_the_last_unit_exactly_once() {
+        const CAP: i64 = 64;
+        for _ in 0..200 {
+            let gauge = Gauge::new();
+            gauge.set(CAP - 1);
+            let start = std::sync::Barrier::new(2);
+            let wins: usize = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            gauge.inc_below(CAP)
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| usize::from(r.join().unwrap())).sum()
+            });
+            assert_eq!(wins, 1, "exactly one racer reserves the last slot");
+            assert_eq!(gauge.get(), CAP);
+        }
+        let gauge = Gauge::new();
+        gauge.set(CAP + 3);
+        assert!(!gauge.inc_below(CAP), "an over-full gauge grants nothing");
+        assert_eq!(gauge.get(), CAP + 3);
     }
 }

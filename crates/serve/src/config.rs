@@ -51,18 +51,24 @@ impl Default for ServeConfig {
     }
 }
 
-/// When the [`Supervisor`](crate::supervisor::Supervisor) evicts idle
-/// streams' in-memory pipeline state to their binary checkpoint (the
-/// **cold tier** — see `ARCHITECTURE.md` §9).
+/// When streams' in-memory pipeline state is evicted to their binary
+/// checkpoint (the **cold tier** — see `ARCHITECTURE.md` §9), under a
+/// [`Supervisor`](crate::supervisor::Supervisor).
 ///
 /// Two independent triggers, either of which may be disabled:
 ///
-/// * **idle age** — a hot stream that has not ingested for
-///   [`TierPolicy::idle_after`] is evicted regardless of budget;
-/// * **memory budget** — whenever more than
-///   [`TierPolicy::max_hot_streams`] streams are hot, the least-recently
-///   active ones are *urgently* evicted until the fleet fits, however
-///   recently they stepped.
+/// * **idle age** — the supervisor's tier pass evicts a hot stream that
+///   has not ingested for [`TierPolicy::idle_after`], regardless of
+///   budget;
+/// * **memory budget** — while the supervisor runs, the shards hold the
+///   fleet to [`TierPolicy::max_hot_streams`] hot streams at admission:
+///   before a stream turns hot in a full fleet, its shard evicts its own
+///   least-recently-active hot stream, however recently that stepped.
+///   These evictions are dirty (encoded into memory) and reach disk
+///   through the supervisor's cold-memory demotion. A shard that owns no
+///   hot stream to evict takes the slot over the cap, and a cap
+///   installed while more streams are hot takes effect lazily, at each
+///   shard's next admission.
 ///
 /// Hibernation is purely a residency decision: a hibernated stream stays
 /// attached, transparently rehydrates on its next ingest / detach, and a
@@ -73,12 +79,12 @@ pub struct TierPolicy {
     /// Evict hot streams idle for at least this long (`None` disables the
     /// idle-age trigger; budget pressure still evicts).
     pub idle_after: Option<Duration>,
-    /// Hard cap on simultaneously hot streams across the fleet (`None`
-    /// disables budget eviction). Derive it from a byte budget with
-    /// [`TierPolicy::budget_bytes`].
+    /// Cap on simultaneously hot streams across the fleet, enforced by
+    /// the shards at admission (`None` disables budget eviction). Derive
+    /// it from a byte budget with [`TierPolicy::budget_bytes`].
     pub max_hot_streams: Option<usize>,
-    /// Evictions + cold-memory→disk demotions performed per supervisor
-    /// tick: each one costs a checkpoint encode + spill (about a
+    /// Idle evictions + cold-memory→disk demotions performed per
+    /// supervisor tick: each one costs a checkpoint encode + spill (about a
     /// millisecond per stream; the repository benchmark reports
     /// `checkpoint.encode_us` and `sink.spill_us`), so huge fleets drain
     /// toward cold over a few ticks instead of stalling one tick for

@@ -53,8 +53,8 @@
 //!   explicit [`ServerHandle::hibernate_stream`]), idle streams'
 //!   in-memory pipeline state is evicted to their binary checkpoint —
 //!   reusing the freshest background spill when clean — so fleets far
-//!   larger than RAM would allow stay attached in a bounded hot-tier
-//!   budget; the next ingest, checkpoint or detach rehydrates
+//!   larger than RAM would allow stay attached under a hot-tier cap the
+//!   shards enforce at admission; the next ingest, checkpoint or detach rehydrates
 //!   transparently and bitwise-identically (`tests/hibernate.rs`,
 //!   `ARCHITECTURE.md` §9);
 //! * the durability stack is **proven under attack**: a deterministic,

@@ -19,7 +19,7 @@ use crate::shard::{
     BundleState, MigrationBundle, Payload, RestoreKind, ShardGauge, ShardMsg, ShardReport,
     ShardWorker, TierScanEntry,
 };
-use rbm_im_harness::checkpoint::PipelineCheckpoint;
+use rbm_im_harness::checkpoint::{CheckpointError, PipelineCheckpoint};
 use rbm_im_harness::pipeline::{PipelineError, RunConfig, RunResult};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec, RegistryError};
 use rbm_im_obs::{MetricsRegistry, Tracer};
@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -75,6 +75,15 @@ impl From<PipelineError> for ServeError {
             // The stepper path never reports a missing stream, but map it
             // defensively rather than panicking.
             PipelineError::MissingStream => ServeError::ShardUnavailable,
+        }
+    }
+}
+
+impl From<CheckpointError> for ServeError {
+    fn from(e: CheckpointError) -> Self {
+        match e {
+            CheckpointError::Registry(e) => ServeError::Registry(e),
+            e => ServeError::Checkpoint(e.to_string()),
         }
     }
 }
@@ -161,6 +170,12 @@ pub enum HibernateOutcome {
     /// The stream was already cold; nothing changed.
     AlreadyCold {
         /// Instances the cold checkpoint covers.
+        position: u64,
+    },
+    /// A demotion found the stream hot again (it woke after the tier scan
+    /// that saw it cold); nothing changed.
+    Hot {
+        /// Instances the live stream has processed.
         position: u64,
     },
 }
@@ -370,6 +385,10 @@ struct ServerInner {
     /// The fault-injection plane every (re)spawned worker inherits —
     /// `None` outside chaos runs (see `crate::chaos`).
     faults: Option<Arc<FaultPlane>>,
+    /// The hot-tier cap every worker admits against (`usize::MAX`: none);
+    /// a supervisor with a capped [`TierPolicy`](crate::config::TierPolicy)
+    /// installs it while it runs.
+    hot_cap: Arc<AtomicUsize>,
 }
 
 impl ServerInner {
@@ -593,28 +612,28 @@ impl ServerHandle {
         if let Some(plane) = &faults {
             plane.bind_metrics(&metrics);
         }
-        let mut shards = Vec::with_capacity(config.num_shards);
-        let mut joins = HashMap::with_capacity(config.num_shards);
-        for index in 0..config.num_shards {
-            let (link, join) =
-                spawn_worker(index, &registry, &bus, &metrics, config.queue_capacity, &faults);
-            shards.push(link);
-            joins.insert(index, join);
-        }
-        let inner = Arc::new(ServerInner {
+        let mut inner = ServerInner {
             config,
             registry,
             bus,
             topology: RwLock::new(Topology {
                 router: StreamRouter::new(config.num_shards),
-                shards,
+                shards: Vec::with_capacity(config.num_shards),
             }),
             metrics,
             tracer: Arc::new(Tracer::new(4096)),
             epoch: Instant::now(),
             last_spill_ns: AtomicU64::new(u64::MAX),
             faults,
-        });
+            hot_cap: Arc::new(AtomicUsize::new(usize::MAX)),
+        };
+        let mut joins = HashMap::with_capacity(config.num_shards);
+        for index in 0..config.num_shards {
+            let (link, join) = spawn_worker(&inner, index);
+            inner.topology.get_mut().expect("topology lock poisoned").shards.push(link);
+            joins.insert(index, join);
+        }
+        let inner = Arc::new(inner);
         ServerHandle {
             inner,
             joins: Mutex::new(joins),
@@ -652,6 +671,13 @@ impl ServerHandle {
     pub(crate) fn note_spill(&self) {
         let now = self.inner.epoch.elapsed().as_nanos() as u64;
         self.inner.last_spill_ns.store(now, Ordering::Relaxed);
+    }
+
+    /// Installs (`Some`) or lifts (`None`) the fleet-wide hot-tier cap the
+    /// shards admit against; see `ARCHITECTURE.md` §9. A supervisor with a
+    /// capped tier policy installs it at start and lifts it at stop.
+    pub(crate) fn set_hot_cap(&self, cap: Option<usize>) {
+        self.inner.hot_cap.store(cap.unwrap_or(usize::MAX), Ordering::Relaxed);
     }
 
     /// A liveness summary of the running server: per-shard stream counts
@@ -822,7 +848,8 @@ impl ServerHandle {
     /// next spill demotes it to disk), and the stream stays attached —
     /// the next ingest, checkpoint or detach transparently rehydrates it,
     /// bitwise-identically. Normally the supervisor's
-    /// [`TierPolicy`](crate::config::TierPolicy) drives this; the manual
+    /// [`TierPolicy`](crate::config::TierPolicy) and the shards' hot-tier
+    /// cap drive this; the manual
     /// entry point exists for explicit cold-start flows (attach a large
     /// fleet, hibernate the idle tail up front).
     pub fn hibernate_stream(&self, stream_id: &str) -> Result<HibernateOutcome, ServeError> {
@@ -844,6 +871,26 @@ impl ServerHandle {
         stream_id: &str,
         spill: Option<(u64, PathBuf)>,
     ) -> Result<HibernateOutcome, ServeError> {
+        self.send_hibernate(stream_id, spill, true)
+    }
+
+    /// Demotes a cold stream's in-memory handle to the matching disk
+    /// `spill` and never evicts: a stream that woke since the caller saw
+    /// it cold stays hot ([`HibernateOutcome::Hot`]).
+    pub(crate) fn demote_with(
+        &self,
+        stream_id: &str,
+        spill: (u64, PathBuf),
+    ) -> Result<HibernateOutcome, ServeError> {
+        self.send_hibernate(stream_id, Some(spill), false)
+    }
+
+    fn send_hibernate(
+        &self,
+        stream_id: &str,
+        spill: Option<(u64, PathBuf)>,
+        evict: bool,
+    ) -> Result<HibernateOutcome, ServeError> {
         // Control lock: hibernation must not race a resize extracting the
         // same stream (the shard also refuses parked ids, belt-and-braces).
         let _guard = self.control.lock().expect("control lock poisoned");
@@ -851,7 +898,7 @@ impl ServerHandle {
         self.inner
             .send_routed(
                 stream_id,
-                ShardMsg::Hibernate { id: Arc::from(stream_id), spill, reply: reply_tx },
+                ShardMsg::Hibernate { id: Arc::from(stream_id), spill, evict, reply: reply_tx },
             )
             .map_err(|_| ServeError::ShardUnavailable)?;
         reply_rx.recv().map_err(|_| ServeError::ShardUnavailable)?
@@ -859,10 +906,10 @@ impl ServerHandle {
 
     /// Per-stream tier rows across the whole fleet (id, position, idle
     /// age, tier, resident bytes), sorted by stream id — the supervisor's
-    /// tier policy plans its evictions from this, and budget-conscious
-    /// callers audit their hot-tier population through it. A barrier
-    /// across all shards that takes the control lock, so it cannot race a
-    /// resize.
+    /// tier pass plans its idle evictions and demotions from this, and
+    /// budget-conscious callers audit their hot-tier population through
+    /// it. A barrier across all shards that takes the control lock, so it
+    /// cannot race a resize.
     pub fn tier_scan(&self) -> Vec<TierScanEntry> {
         let _guard = self.control.lock().expect("control lock poisoned");
         let links: Vec<ShardLink> =
@@ -1003,14 +1050,7 @@ impl ServerHandle {
         let new_router = StreamRouter::new(new_count);
         let mut new_shards: Vec<ShardLink> = old_shards.iter().take(new_count).cloned().collect();
         for index in old_count..new_count {
-            let (link, join) = spawn_worker(
-                index,
-                &self.inner.registry,
-                &self.inner.bus,
-                &self.inner.metrics,
-                self.inner.config.queue_capacity,
-                &self.inner.faults,
-            );
+            let (link, join) = spawn_worker(&self.inner, index);
             new_shards.push(link);
             self.joins.lock().expect("joins lock poisoned").insert(index, join);
         }
@@ -1307,14 +1347,7 @@ impl ServerHandle {
                 Err(_) => retired.panicked_shards += 1,
             }
         }
-        let (link, new_join) = spawn_worker(
-            index,
-            &self.inner.registry,
-            &self.inner.bus,
-            &self.inner.metrics,
-            self.inner.config.queue_capacity,
-            &self.inner.faults,
-        );
+        let (link, new_join) = spawn_worker(&self.inner, index);
         joins.insert(index, new_join);
         let mut topology = self.inner.topology.write().expect("topology lock poisoned");
         if index >= topology.shards.len() {
@@ -1331,6 +1364,9 @@ impl ServerHandle {
             gauge.enqueued_instances.get().saturating_sub(gauge.processed_instances.get());
         gauge.processed_messages.add(lost_messages);
         gauge.processed_instances.add(lost_instances);
+        // The dead worker's streams died with it: take them out of the
+        // fleet tier gauges, or they would hold hot-tier slots forever.
+        gauge.release_tiers();
         topology.shards[index] = link;
         Ok(())
     }
@@ -1390,27 +1426,21 @@ impl fmt::Debug for ServerHandle {
     }
 }
 
-/// Spawns one shard worker thread with its bounded ingest channel and a
-/// fresh load gauge.
-fn spawn_worker(
-    index: usize,
-    registry: &Arc<DetectorRegistry>,
-    bus: &Arc<EventBus>,
-    metrics: &Arc<MetricsRegistry>,
-    queue_capacity: usize,
-    faults: &Option<Arc<FaultPlane>>,
-) -> (ShardLink, JoinHandle<ShardReport>) {
-    let (tx, rx) = std::sync::mpsc::sync_channel(queue_capacity);
+/// Spawns shard worker `index` of `inner`'s server with its bounded
+/// ingest channel and a fresh load gauge.
+fn spawn_worker(inner: &ServerInner, index: usize) -> (ShardLink, JoinHandle<ShardReport>) {
+    let (tx, rx) = std::sync::mpsc::sync_channel(inner.config.queue_capacity);
     // Re-grown slots rebind the *same* registry counters (get-or-register
     // by id), so per-slot totals stay monotone across resizes.
-    let gauge = Arc::new(ShardGauge::for_shard(metrics, index));
+    let gauge = Arc::new(ShardGauge::for_shard(&inner.metrics, index));
     let worker = ShardWorker::new(
         index,
-        Arc::clone(registry),
-        Arc::clone(bus),
+        Arc::clone(&inner.registry),
+        Arc::clone(&inner.bus),
         Arc::clone(&gauge),
-        Arc::clone(metrics),
-        faults.clone(),
+        Arc::clone(&inner.metrics),
+        Arc::clone(&inner.hot_cap),
+        inner.faults.clone(),
     );
     let join = std::thread::Builder::new()
         .name(format!("rbm-serve-shard-{index}"))

@@ -36,7 +36,10 @@
 //! checkpoint — as in-memory bytes right after a dirty eviction, or as a
 //! path into the spill directory once the supervisor has demoted it to
 //! disk. `Hibernate` evicts (reusing the caller's fresh spill when the
-//! positions match, encoding on demand otherwise); ingest, detach and
+//! positions match, encoding on demand otherwise). Every stream turns hot
+//! through one admission path ([`ShardWorker::admit`]), which holds the
+//! fleet to the hot-tier cap by evicting this shard's least-recently-
+//! active streams first; ingest, detach and
 //! shutdown transparently rehydrate through the same codec path the
 //! migration protocol uses, so a hibernated stream is observationally
 //! identical to a hot one — bitwise.
@@ -53,6 +56,7 @@ use rbm_im_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use rbm_im_streams::{Instance, StreamSchema};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -86,7 +90,11 @@ fn forced_hibernate() -> bool {
 /// Registry handles are monotone across resizes: a re-grown shard slot
 /// reattaches to its counters, which keeps `enqueued − processed`
 /// consistent because both sides survive together.
-#[derive(Clone)]
+///
+/// The gauge also carries the fleet-wide tier gauges
+/// (`rbm_serve_streams{tier=hot|cold}`, `rbm_serve_cold_resident_bytes`)
+/// and this worker's share of them, so reviving a panicked worker can take
+/// its lost streams back out of the fleet totals.
 pub(crate) struct ShardGauge {
     /// Ingest messages successfully enqueued to this shard.
     pub enqueued_messages: Arc<Counter>,
@@ -96,6 +104,11 @@ pub(crate) struct ShardGauge {
     pub enqueued_instances: Arc<Counter>,
     /// Instances inside the processed messages.
     pub processed_instances: Arc<Counter>,
+    /// Fleet-wide hot streams, cold streams and cold resident bytes (one
+    /// registry instrument each, shared by every slot).
+    fleet: [Arc<Gauge>; 3],
+    /// This worker's share of `fleet`, in the same order.
+    own: [Gauge; 3],
 }
 
 impl ShardGauge {
@@ -109,6 +122,12 @@ impl ShardGauge {
             processed_messages: metrics.counter("rbm_serve_processed_messages_total", labels),
             enqueued_instances: metrics.counter("rbm_serve_enqueued_instances_total", labels),
             processed_instances: metrics.counter("rbm_serve_processed_instances_total", labels),
+            fleet: [
+                metrics.gauge("rbm_serve_streams", &[("tier", "hot")]),
+                metrics.gauge("rbm_serve_streams", &[("tier", "cold")]),
+                metrics.gauge("rbm_serve_cold_resident_bytes", &[]),
+            ],
+            own: Default::default(),
         }
     }
 
@@ -122,6 +141,40 @@ impl ShardGauge {
     pub fn record_processed(&self, instances: u64) {
         self.processed_messages.inc();
         self.processed_instances.add(instances);
+    }
+
+    /// Moves this worker's hot and cold stream counts and cold resident
+    /// bytes by the given deltas, and the fleet gauges with them.
+    fn shift_tiers(&self, hot: i64, cold: i64, cold_bytes: i64) {
+        for ((own, fleet), delta) in self.own.iter().zip(&self.fleet).zip([hot, cold, cold_bytes]) {
+            if delta != 0 {
+                own.add(delta);
+                fleet.add(delta);
+            }
+        }
+    }
+
+    /// Reserves one hot slot on the fleet gauge if fewer than `cap`
+    /// streams are hot (one compare-and-swap), and counts it as this
+    /// worker's.
+    fn reserve_hot(&self, cap: i64) -> bool {
+        let reserved = self.fleet[0].inc_below(cap);
+        if reserved {
+            self.own[0].add(1);
+        }
+        reserved
+    }
+
+    /// Hot streams across the fleet.
+    fn fleet_hot(&self) -> i64 {
+        self.fleet[0].get()
+    }
+
+    /// Takes this worker's streams out of the fleet gauges: its worker
+    /// panicked, and the streams died with it.
+    pub fn release_tiers(&self) {
+        let [hot, cold, bytes] = &self.own;
+        self.shift_tiers(-hot.get(), -cold.get(), -bytes.get());
     }
 }
 
@@ -239,8 +292,9 @@ pub(crate) struct RestoreFailure {
 
 /// One stream's row in a tier scan
 /// ([`ServerHandle::tier_scan`](crate::server::ServerHandle::tier_scan)):
-/// the supervisor's [`TierPolicy`](crate::config::TierPolicy) pass and
-/// `ServerHandle::health` both read these.
+/// the supervisor's [`TierPolicy`](crate::config::TierPolicy) pass
+/// (idle evictions, disk demotions) and `ServerHandle::health` both read
+/// these.
 #[derive(Debug, Clone)]
 pub struct TierScanEntry {
     /// Stream id.
@@ -299,10 +353,12 @@ pub(crate) enum ShardMsg {
     /// matches the stream's position the eviction is **clean** (the disk
     /// file becomes the cold handle, no encode); otherwise the state is
     /// encoded on demand and held in memory. Also demotes an in-memory
-    /// cold handle to disk when the spill position matches.
+    /// cold handle to disk when the spill position matches. With `evict`
+    /// false the message only demotes: a hot stream stays hot.
     Hibernate {
         id: Arc<str>,
         spill: Option<(u64, PathBuf)>,
+        evict: bool,
         reply: Sender<Result<HibernateOutcome, ServeError>>,
     },
     /// Start buffering ingest for these ids instead of processing it.
@@ -334,11 +390,10 @@ pub(crate) enum ShardMsg {
 /// Per-stream pipeline state owned by a shard.
 struct StreamState {
     stepper: PipelineStepper,
-    /// The stream's schema / effective spec / run config, retained so the
-    /// stream can be inventoried, checkpointed and migrated.
+    /// The stream's schema and effective spec, retained so the stream can
+    /// be checkpointed and migrated (the stepper keeps its run config).
     schema: StreamSchema,
     spec: DetectorSpec,
-    run: RunConfig,
     /// Per-stream step-timing histogram
     /// (`rbm_serve_stream_step_seconds{stream}`), bound at attach/restore
     /// so the hot path records through the handle without any lookup.
@@ -346,10 +401,21 @@ struct StreamState {
     /// micro-batch, see [`ShardWorker::ingest`]) and only taken while
     /// [`rbm_im_obs::enabled`] is on.
     step_latency: Arc<Histogram>,
-    /// When this stream last processed ingest (LRU signal of the
-    /// supervisor's tier policy; always maintained — one monotonic clock
-    /// read per ingest message, never influencing results).
+    /// When this stream last processed ingest, or was admitted: the
+    /// least-recently-active order in which the hot-tier cap evicts
+    /// ([`ShardWorker::admit`]) and the idle age of the supervisor's
+    /// idle-age trigger. Always maintained — one monotonic clock read per
+    /// ingest message, never influencing results.
     last_active: Instant,
+}
+
+impl StreamState {
+    /// A non-destructive checkpoint of the stream's pipeline.
+    fn checkpoint(&self, id: &Arc<str>) -> Result<StreamCheckpoint, ServeError> {
+        let checkpoint =
+            PipelineCheckpoint::capture(&self.stepper, self.schema.clone(), self.spec.clone())?;
+        Ok(StreamCheckpoint { stream: id.to_string(), checkpoint })
+    }
 }
 
 /// What a shard hands back when it stops.
@@ -379,17 +445,13 @@ pub(crate) struct ShardWorker {
     /// Queue-depth distribution sampled after each processed ingest
     /// message (`rbm_serve_queue_depth{shard}`).
     queue_depth: Arc<Histogram>,
-    /// Fleet-wide tier populations (`rbm_serve_streams{tier=hot|cold}`) —
-    /// shared instruments across all shards (same registry id), adjusted
-    /// with wait-free deltas at every tier transition.
-    tier_hot: Arc<Gauge>,
-    tier_cold: Arc<Gauge>,
-    /// Bytes held resident by in-memory cold handles
-    /// (`rbm_serve_cold_resident_bytes`, fleet-wide).
-    cold_bytes: Arc<Gauge>,
-    /// Rehydration latency (`rbm_serve_rehydrate_seconds`, fleet-wide).
-    /// Rehydrates are cold-path control transitions, so — like resize
-    /// phases — they are always recorded, independent of `RBM_OBS`.
+    /// The fleet-wide hot-tier cap (`usize::MAX` when none is installed),
+    /// shared by every worker of the server; see [`ShardWorker::admit`].
+    hot_cap: Arc<AtomicUsize>,
+    /// Rehydration latency (`rbm_serve_rehydrate_seconds`, fleet-wide),
+    /// any eviction the hot-tier cap forced included. Rehydrates are
+    /// cold-path control transitions, so — like resize phases — they are
+    /// always recorded, independent of `RBM_OBS`.
     rehydrate_latency: Arc<Histogram>,
     /// `rbm_serve_hibernations_total{kind=clean|dirty}`.
     hibernations_clean: Arc<Counter>,
@@ -424,15 +486,13 @@ impl ShardWorker {
         bus: Arc<EventBus>,
         gauge: Arc<ShardGauge>,
         metrics: Arc<MetricsRegistry>,
+        hot_cap: Arc<AtomicUsize>,
         faults: Option<Arc<FaultPlane>>,
     ) -> Self {
         let shard = index.to_string();
         let labels: &[(&str, &str)] = &[("shard", shard.as_str())];
         let ingest_latency = metrics.histogram("rbm_serve_ingest_latency_seconds", labels);
         let queue_depth = metrics.histogram("rbm_serve_queue_depth", labels);
-        let tier_hot = metrics.gauge("rbm_serve_streams", &[("tier", "hot")]);
-        let tier_cold = metrics.gauge("rbm_serve_streams", &[("tier", "cold")]);
-        let cold_bytes = metrics.gauge("rbm_serve_cold_resident_bytes", &[]);
         let rehydrate_latency = metrics.histogram("rbm_serve_rehydrate_seconds", &[]);
         let hibernations_clean =
             metrics.counter("rbm_serve_hibernations_total", &[("kind", "clean")]);
@@ -451,9 +511,7 @@ impl ShardWorker {
             metrics,
             ingest_latency,
             queue_depth,
-            tier_hot,
-            tier_cold,
-            cold_bytes,
+            hot_cap,
             rehydrate_latency,
             hibernations_clean,
             hibernations_dirty,
@@ -504,20 +562,7 @@ impl ShardWorker {
                     }
                 }
                 ShardMsg::Detach { id, reply } => {
-                    // A cold stream rehydrates first: `finish` must flush
-                    // its trailing micro-batch and report the exact
-                    // RunResult an always-hot run would.
-                    let result = if self.streams.contains_key(&id) {
-                        match self.rehydrate(&id, "detach") {
-                            Ok(()) => match self.streams.remove(&id) {
-                                Some(StreamSlot::Hot(state)) => Ok(self.close_stream(&id, *state)),
-                                _ => Err(ServeError::UnknownStream(id.to_string())),
-                            },
-                            Err(e) => Err(e),
-                        }
-                    } else {
-                        Err(ServeError::UnknownStream(id.to_string()))
-                    };
+                    let result = self.finish_stream(&id, "detach");
                     let _ = reply.send(result);
                 }
                 ShardMsg::Drain { reply } => {
@@ -550,8 +595,13 @@ impl ShardWorker {
                     entries.sort_by(|a, b| a.id.cmp(&b.id));
                     let _ = reply.send(entries);
                 }
-                ShardMsg::Hibernate { id, spill, reply } => {
-                    let result = self.hibernate(&id, spill.as_ref());
+                ShardMsg::Hibernate { id, spill, evict, reply } => {
+                    let result = match self.streams.get(&id) {
+                        Some(StreamSlot::Hot(state)) if !evict => {
+                            Ok(HibernateOutcome::Hot { position: state.stepper.instances() })
+                        }
+                        _ => self.hibernate(&id, spill.as_ref(), true),
+                    };
                     let _ = reply.send(result);
                 }
                 ShardMsg::Park { ids, reply } => {
@@ -573,7 +623,7 @@ impl ShardWorker {
                 }
                 ShardMsg::Checkpoint { id, reply } => {
                     let result = match self.streams.get(&id) {
-                        Some(StreamSlot::Hot(state)) => checkpoint_stream(&id, state),
+                        Some(StreamSlot::Hot(state)) => state.checkpoint(&id),
                         Some(StreamSlot::Cold(cold)) => cold_checkpoint(&id, cold),
                         None => Err(ServeError::UnknownStream(id.to_string())),
                     };
@@ -585,7 +635,7 @@ impl ShardWorker {
                     let result = ids
                         .iter()
                         .map(|id| match &self.streams[id] {
-                            StreamSlot::Hot(state) => checkpoint_stream(id, state),
+                            StreamSlot::Hot(state) => state.checkpoint(id),
                             StreamSlot::Cold(cold) => cold_checkpoint(id, cold),
                         })
                         .collect::<Result<Vec<_>, _>>();
@@ -595,29 +645,24 @@ impl ShardWorker {
             }
         }
         // Finalize every stream still attached, in id order so reports are
-        // deterministic. Cold streams rehydrate so their trailing micro-
-        // batches flush and their summaries match an always-hot shutdown.
+        // deterministic.
         let mut ids: Vec<Arc<str>> = self.streams.keys().cloned().collect();
         ids.sort();
         let mut summaries = Vec::with_capacity(ids.len());
         for id in ids {
-            let _ = self.rehydrate(&id, "shutdown");
-            match self.streams.remove(&id).expect("stream present") {
-                StreamSlot::Hot(state) => {
-                    let result = self.close_stream(&id, *state);
-                    summaries.push(StreamSummary {
-                        stream: id.to_string(),
-                        shard: self.index,
-                        result,
-                    });
-                }
-                StreamSlot::Cold(cold) => {
-                    // Rehydrate failed (unreadable checkpoint): the
-                    // stream's summary is unrecoverable. Surfaced via
-                    // `rbm_serve_rehydrate_failures_total` — the report
-                    // simply misses this stream, like a panicked worker's.
-                    self.tier_cold.add(-1);
-                    self.cold_bytes.add(-(cold.handle.resident_bytes() as i64));
+            match self.finish_stream(&id, "shutdown") {
+                Ok(result) => summaries.push(StreamSummary {
+                    stream: id.to_string(),
+                    shard: self.index,
+                    result,
+                }),
+                // Unreadable cold checkpoint: the stream's summary is
+                // unrecoverable — the report simply misses this stream,
+                // like a panicked worker's.
+                Err(_) => {
+                    if let Some(StreamSlot::Cold(cold)) = self.streams.remove(&id) {
+                        self.gauge.shift_tiers(0, -1, -(cold.handle.resident_bytes() as i64));
+                    }
                 }
             }
         }
@@ -640,20 +685,73 @@ impl ShardWorker {
             shard: self.index,
             kind: ServeEventKind::Attached,
         });
-        let step_latency = self.stream_step_histogram(&id);
-        self.tier_hot.add(1);
+        self.admit(&id, stepper, schema, spec);
+        Ok(())
+    }
+
+    /// Makes `id` a hot stream around an already rebuilt `stepper`: the one
+    /// path by which attach, rehydrate and restore put live state on the
+    /// shard. With a hot-tier cap installed, the stream takes a slot on
+    /// the fleet-wide hot gauge. While the fleet is full, this shard
+    /// hibernates its own least-recently-active hot stream that is not
+    /// parked (id breaks ties) and hands that stream's slot straight to
+    /// `id`, so the fleet gauge never dips for another shard to take.
+    /// While the gauge stays above the cap, further evictions release
+    /// their slots. Those evictions are dirty — encoded into memory — and
+    /// reach disk through the supervisor's cold-memory demotion. A shard
+    /// that owns no evictable hot stream takes the slot over the cap, so
+    /// admission never fails; the fleet comes back to the cap at the next
+    /// admission on a shard that owns hot streams. A cap installed while
+    /// more streams are hot likewise applies lazily, at each shard's next
+    /// admission.
+    fn admit(
+        &mut self,
+        id: &Arc<str>,
+        stepper: PipelineStepper,
+        schema: StreamSchema,
+        spec: DetectorSpec,
+    ) {
+        let cap = self.hot_cap.load(Ordering::Relaxed);
+        if cap == usize::MAX {
+            self.gauge.shift_tiers(1, 0, 0);
+        } else {
+            let cap = i64::try_from(cap).unwrap_or(i64::MAX);
+            let mut counted = self.gauge.reserve_hot(cap);
+            while !counted || self.gauge.fleet_hot() > cap {
+                let victim = self
+                    .streams
+                    .iter()
+                    .filter_map(|(id, slot)| match slot {
+                        StreamSlot::Hot(state) if !self.parked.contains_key(id) => {
+                            Some((state.last_active, id))
+                        }
+                        _ => None,
+                    })
+                    .min()
+                    .map(|(_, id)| Arc::clone(id));
+                // The first victim keeps its slot counted, for `id`; later
+                // ones (the gauge above the cap) release theirs.
+                if victim.is_none_or(|victim| self.hibernate(&victim, None, counted).is_err()) {
+                    break;
+                }
+                counted = true;
+            }
+            if !counted {
+                // Nothing here to evict: take the slot over the cap.
+                self.gauge.shift_tiers(1, 0, 0);
+            }
+        }
+        let step_latency = self.stream_step_histogram(id);
         self.streams.insert(
-            id,
+            Arc::clone(id),
             StreamSlot::Hot(Box::new(StreamState {
                 stepper,
                 schema,
                 spec,
-                run,
                 step_latency,
                 last_active: Instant::now(),
             })),
         );
-        Ok(())
     }
 
     fn ingest(&mut self, id: &Arc<str>, payload: Payload) {
@@ -679,9 +777,7 @@ impl ShardWorker {
         // A cold slot transparently rehydrates before stepping: the
         // triggering payload waits right here on the worker thread, so
         // per-stream order is untouched.
-        if matches!(self.streams.get(id), Some(StreamSlot::Cold(_)))
-            && self.rehydrate(id, "ingest").is_err()
-        {
+        if self.rehydrate(id).is_err() {
             // Unreadable cold checkpoint: dropping the payload (counted)
             // beats panicking the whole shard. The slot stays cold, so a
             // later detach/shutdown surfaces the same failure.
@@ -739,17 +835,19 @@ impl ShardWorker {
         let storm =
             self.faults.as_ref().is_some_and(|f| f.chaos_hibernate(self.index, self.messages_seen));
         if forced_hibernate() || storm {
-            let _ = self.hibernate(id, None);
+            let _ = self.hibernate(id, None, true);
         }
     }
 
     /// Evicts a stream's live pipeline state to its binary checkpoint (or
     /// demotes an in-memory cold handle to a matching disk spill). See
-    /// [`ShardMsg::Hibernate`].
+    /// [`ShardMsg::Hibernate`]. With `release` false an evicted stream's
+    /// hot slot stays counted, for [`ShardWorker::admit`] to hand over.
     fn hibernate(
         &mut self,
         id: &Arc<str>,
         spill: Option<&(u64, PathBuf)>,
+        release: bool,
     ) -> Result<HibernateOutcome, ServeError> {
         if self.parked.contains_key(id) {
             // Mid-migration: the extract owns this stream's fate.
@@ -764,7 +862,7 @@ impl ShardWorker {
                         // are monotone and the pipeline is deterministic,
                         // so equal position ⇒ identical state): the disk
                         // file replaces the resident bytes.
-                        self.cold_bytes.add(-(cold.handle.resident_bytes() as i64));
+                        self.gauge.shift_tiers(0, 0, -(cold.handle.resident_bytes() as i64));
                         cold.handle = ColdHandle::Disk(path.clone());
                         return Ok(HibernateOutcome::DemotedToDisk { position: *position });
                     }
@@ -782,29 +880,17 @@ impl ShardWorker {
                     // memory — shard workers never write spill files (the
                     // supervisor thread owns the disk), so a racing
                     // background spill can never clobber fresher state.
-                    let snapshot = state
-                        .stepper
-                        .state_snapshot()
-                        .map_err(|e| ServeError::Checkpoint(e.to_string()))?;
-                    let checkpoint = StreamCheckpoint {
-                        stream: id.to_string(),
-                        checkpoint: PipelineCheckpoint {
-                            schema: state.schema.clone(),
-                            spec: state.spec.clone(),
-                            run: state.run,
-                            state: snapshot,
-                        },
-                    };
-                    ColdHandle::Memory(codec::encode(CheckpointCodec::Binary, &checkpoint))
+                    ColdHandle::Memory(codec::encode(
+                        CheckpointCodec::Binary,
+                        &state.checkpoint(id)?,
+                    ))
                 };
-                self.cold_bytes.add(handle.resident_bytes() as i64);
+                self.gauge.shift_tiers(-i64::from(release), 1, handle.resident_bytes() as i64);
                 // Replacing the hot slot drops the stream's live state.
                 self.streams.insert(
                     Arc::clone(id),
                     StreamSlot::Cold(ColdStream { handle, position, since: Instant::now() }),
                 );
-                self.tier_hot.add(-1);
-                self.tier_cold.add(1);
                 if clean {
                     self.hibernations_clean.inc();
                 } else {
@@ -820,44 +906,20 @@ impl ShardWorker {
         }
     }
 
-    /// Rebuilds a cold stream's live state from its checkpoint handle
-    /// (no-op for hot streams). On failure the cold slot stays intact.
-    fn rehydrate(&mut self, id: &Arc<str>, trigger: &'static str) -> Result<(), ServeError> {
-        let checkpoint = match self.streams.get(id) {
-            Some(StreamSlot::Hot(_)) => return Ok(()),
-            Some(StreamSlot::Cold(cold)) => cold_checkpoint(id, cold)?,
-            None => return Err(ServeError::UnknownStream(id.to_string())),
-        };
+    /// Rebuilds a cold stream's live state from its checkpoint handle and
+    /// admits it hot (no-op for hot streams). On failure the cold slot
+    /// stays intact.
+    fn rehydrate(&mut self, id: &Arc<str>) -> Result<(), ServeError> {
+        let Some(StreamSlot::Cold(cold)) = self.streams.get(id) else { return Ok(()) };
+        let checkpoint = cold_checkpoint(id, cold)?.checkpoint;
         let started = Instant::now();
-        let StreamCheckpoint { checkpoint, .. } = checkpoint;
-        let mut stepper = PipelineStepper::from_spec(
-            &self.registry,
-            &checkpoint.spec,
-            &checkpoint.schema,
-            checkpoint.run,
-        )?;
-        if let Err(e) = stepper.restore_state(&checkpoint.state) {
-            return Err(ServeError::Checkpoint(e.to_string()));
-        }
+        let stepper = checkpoint.resume(&self.registry)?;
         let position = stepper.instances();
-        let step_latency = self.stream_step_histogram(id);
-        let old = self.streams.insert(
-            Arc::clone(id),
-            StreamSlot::Hot(Box::new(StreamState {
-                stepper,
-                schema: checkpoint.schema,
-                spec: checkpoint.spec,
-                run: checkpoint.run,
-                step_latency,
-                last_active: Instant::now(),
-            })),
-        );
-        if let Some(StreamSlot::Cold(cold)) = old {
-            self.cold_bytes.add(-(cold.handle.resident_bytes() as i64));
+        if let Some(StreamSlot::Cold(cold)) = self.streams.remove(id) {
+            self.gauge.shift_tiers(0, -1, -(cold.handle.resident_bytes() as i64));
         }
-        self.tier_cold.add(-1);
-        self.tier_hot.add(1);
-        self.note_rehydrated(id, position, started, trigger);
+        self.admit(id, stepper, checkpoint.schema, checkpoint.spec);
+        self.note_rehydrated(id, position, started, "ingest");
         Ok(())
     }
 
@@ -888,8 +950,7 @@ impl ShardWorker {
         };
         match slot {
             StreamSlot::Cold(cold) => {
-                self.tier_cold.add(-1);
-                self.cold_bytes.add(-(cold.handle.resident_bytes() as i64));
+                self.gauge.shift_tiers(0, -1, -(cold.handle.resident_bytes() as i64));
                 let parked = parked_of(&mut self.parked);
                 Ok(MigrationBundle {
                     state: BundleState::Cold { handle: cold.handle, position: cold.position },
@@ -897,23 +958,16 @@ impl ShardWorker {
                 })
             }
             StreamSlot::Hot(state) => {
-                let snapshot = match state.stepper.state_snapshot() {
-                    Ok(snapshot) => snapshot,
+                let checkpoint = match state.checkpoint(id) {
+                    Ok(checkpoint) => checkpoint.checkpoint,
                     Err(e) => {
                         // Abort: the stream stays attached on this shard.
-                        let result = Err(ServeError::Checkpoint(e.to_string()));
                         self.streams.insert(Arc::clone(id), StreamSlot::Hot(state));
-                        return result;
+                        return Err(e);
                     }
                 };
-                let checkpoint = PipelineCheckpoint {
-                    schema: state.schema.clone(),
-                    spec: state.spec.clone(),
-                    run: state.run,
-                    state: snapshot,
-                };
                 let parked = parked_of(&mut self.parked);
-                self.tier_hot.add(-1);
+                self.gauge.shift_tiers(-1, 0, 0);
                 Ok(MigrationBundle { state: BundleState::Hot(checkpoint), parked })
             }
         }
@@ -962,12 +1016,11 @@ impl ShardWorker {
                     // Pure transfer: the checkpoint bytes become this
                     // shard's cold slot; no decode, no pipeline rebuild.
                     self.parked.remove(&id);
-                    self.cold_bytes.add(handle.resident_bytes() as i64);
+                    self.gauge.shift_tiers(0, 1, handle.resident_bytes() as i64);
                     self.streams.insert(
                         Arc::clone(&id),
                         StreamSlot::Cold(ColdStream { handle, position, since: Instant::now() }),
                     );
-                    self.tier_cold.add(1);
                     if let Some(kind) = restore_event(kind) {
                         self.bus.publish(ServeEvent {
                             stream: Arc::clone(&id),
@@ -1019,16 +1072,11 @@ impl ShardWorker {
         kind: RestoreKind,
         rehydrated_at: Option<Instant>,
     ) -> Result<(), RestoreFailure> {
-        let mut stepper = match PipelineStepper::from_spec(
-            &self.registry,
-            &checkpoint.spec,
-            &checkpoint.schema,
-            checkpoint.run,
-        ) {
-            Ok(built) => built,
-            Err(error) => {
+        let stepper = match checkpoint.resume(&self.registry) {
+            Ok(stepper) => stepper,
+            Err(e) => {
                 return Err(RestoreFailure {
-                    error: error.into(),
+                    error: e.into(),
                     bundle: Some(Box::new(MigrationBundle {
                         state: BundleState::Hot(checkpoint),
                         parked,
@@ -1036,29 +1084,8 @@ impl ShardWorker {
                 });
             }
         };
-        if let Err(e) = stepper.restore_state(&checkpoint.state) {
-            return Err(RestoreFailure {
-                error: ServeError::Checkpoint(e.to_string()),
-                bundle: Some(Box::new(MigrationBundle {
-                    state: BundleState::Hot(checkpoint),
-                    parked,
-                })),
-            });
-        }
         let position = stepper.instances();
-        let step_latency = self.stream_step_histogram(&id);
-        self.tier_hot.add(1);
-        self.streams.insert(
-            Arc::clone(&id),
-            StreamSlot::Hot(Box::new(StreamState {
-                stepper,
-                schema: checkpoint.schema,
-                spec: checkpoint.spec,
-                run: checkpoint.run,
-                step_latency,
-                last_active: Instant::now(),
-            })),
-        );
+        self.admit(&id, stepper, checkpoint.schema, checkpoint.spec);
         // A live migration announces where the stream came from; a restore
         // from disk announces the stream like any fresh attach, so bus
         // subscribers see every serving stream either way. A reinstatement
@@ -1083,10 +1110,36 @@ impl ShardWorker {
         Ok(())
     }
 
-    /// Flushes the stream's trailing detector micro-batch (emitting its
-    /// events), publishes the `Detached` event and returns the final
-    /// summary.
-    fn close_stream(&mut self, id: &Arc<str>, state: StreamState) -> RunResult {
+    /// Removes `id` and finishes it. A cold stream resumes from its
+    /// checkpoint first, so `finish` flushes its trailing micro-batch and
+    /// reports the exact RunResult an always-hot run would; it takes no
+    /// hot slot, since it leaves at once. On a failed resume the cold
+    /// slot stays intact.
+    fn finish_stream(&mut self, id: &Arc<str>, trigger: &str) -> Result<RunResult, ServeError> {
+        let resumed = match self.streams.get(id) {
+            None => return Err(ServeError::UnknownStream(id.to_string())),
+            Some(StreamSlot::Hot(_)) => None,
+            Some(StreamSlot::Cold(cold)) => {
+                let checkpoint = cold_checkpoint(id, cold)?.checkpoint;
+                let started = Instant::now();
+                let stepper = checkpoint.resume(&self.registry)?;
+                self.note_rehydrated(id, stepper.instances(), started, trigger);
+                Some(stepper)
+            }
+        };
+        let stepper = match (self.streams.remove(id), resumed) {
+            (Some(StreamSlot::Hot(state)), _) => {
+                self.gauge.shift_tiers(-1, 0, 0);
+                state.stepper
+            }
+            (Some(StreamSlot::Cold(cold)), Some(stepper)) => {
+                self.gauge.shift_tiers(0, -1, -(cold.handle.resident_bytes() as i64));
+                stepper
+            }
+            _ => unreachable!("the slot was looked up above"),
+        };
+        // Flush the trailing detector micro-batch (emitting its events),
+        // then announce the detach with the final summary.
         let bus = &self.bus;
         let shard = self.index;
         let mut on_event = |event: &rbm_im_harness::pipeline::PipelineEvent<'_>| {
@@ -1096,14 +1149,13 @@ impl ShardWorker {
                 kind: ServeEventKind::from_pipeline(event),
             });
         };
-        let result = state.stepper.finish(id.to_string(), &mut on_event);
-        self.tier_hot.add(-1);
+        let result = stepper.finish(id.to_string(), &mut on_event);
         self.bus.publish(ServeEvent {
             stream: Arc::clone(id),
             shard: self.index,
             kind: ServeEventKind::Detached { result: result.clone() },
         });
-        result
+        Ok(result)
     }
 }
 
@@ -1122,21 +1174,6 @@ fn restore_event(kind: RestoreKind) -> Option<ServeEventKind> {
         RestoreKind::FromDisk => Some(ServeEventKind::Attached),
         RestoreKind::Reinstate => None,
     }
-}
-
-/// Non-destructive checkpoint of one attached (hot) stream.
-fn checkpoint_stream(id: &Arc<str>, state: &StreamState) -> Result<StreamCheckpoint, ServeError> {
-    let snapshot =
-        state.stepper.state_snapshot().map_err(|e| ServeError::Checkpoint(e.to_string()))?;
-    Ok(StreamCheckpoint {
-        stream: id.to_string(),
-        checkpoint: PipelineCheckpoint {
-            schema: state.schema.clone(),
-            spec: state.spec.clone(),
-            run: state.run,
-            state: snapshot,
-        },
-    })
 }
 
 /// Non-destructive checkpoint of a cold stream: its handle is decoded

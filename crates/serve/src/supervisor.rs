@@ -18,11 +18,16 @@
 //!   atomically;
 //! * **tiered stream state** — with a [`TierPolicy`] configured, each tick
 //!   scans the fleet's residency tiers and **hibernates** hot streams that
-//!   are idle past the policy's age, or — under budget pressure — the
-//!   least-recently-active ones until the hot tier fits
-//!   [`TierPolicy::max_hot_streams`]. Every eviction first spills a fresh
+//!   are idle past the policy's age. Every eviction first spills a fresh
 //!   checkpoint, so clean evictions reuse the disk file without encoding,
-//!   and already-cold in-memory handles are demoted to disk the same way.
+//!   and already-cold in-memory handles are demoted to disk the same way
+//!   (a demotion never evicts a stream that woke since the scan).
+//!   The hot-tier cap [`TierPolicy::max_hot_streams`] is not this loop's:
+//!   [`Supervisor::start`] installs it on the server, the shards enforce
+//!   it at admission with dirty evictions of their least-recently-active
+//!   streams (which this demotion pass then moves to disk), and
+//!   [`SupervisorHandle::stop`] lifts it. A cap installed while more
+//!   streams are hot takes effect lazily, at each shard's next admission.
 //!   Disk-authoritative cold streams are skipped by the periodic spill
 //!   schedule (their checkpoint cannot go stale) until they rehydrate.
 //!
@@ -117,8 +122,10 @@ pub struct SupervisorReport {
     pub periodic_spills: u64,
     /// Urgent (drift-driven) checkpoints spilled.
     pub urgent_spills: u64,
-    /// Streams hibernated by the tier policy (idle-age or budget
-    /// pressure). Each hibernation also spilled a fresh checkpoint.
+    /// Streams the tier pass hibernated for idling past the policy's age.
+    /// Each hibernation also spilled a fresh checkpoint. The shards'
+    /// evictions under the hot-tier cap are not counted here (they show
+    /// in `rbm_serve_hibernations_total{kind="dirty"}`).
     pub hibernations: u64,
     /// Cold streams whose in-memory checkpoint bytes were demoted to the
     /// spill file on disk.
@@ -143,7 +150,8 @@ pub struct SupervisorHandle {
 
 impl Supervisor {
     /// Spawns the supervisor thread over a shared server handle and a
-    /// spill sink.
+    /// spill sink, installing the tier policy's hot-tier cap, if any, on
+    /// the server's shards.
     ///
     /// The supervisor holds its `Arc<ServerHandle>` until stopped, so the
     /// teardown order is: `handle.stop()` first, then
@@ -155,6 +163,11 @@ impl Supervisor {
         config: SupervisorConfig,
     ) -> SupervisorHandle {
         let (stop, stop_rx) = channel();
+        // The shards hold the hot tier to the cap from here on; the loop
+        // lifts it again as it exits.
+        if let Some(cap) = config.tier.and_then(|tier| tier.max_hot_streams) {
+            server.set_hot_cap(Some(cap));
+        }
         // Subscribed before the thread starts, so no drift event published
         // after `start` returns can be missed.
         let events = server.subscribe();
@@ -168,8 +181,8 @@ impl Supervisor {
 
 impl SupervisorHandle {
     /// Stops the supervisor (finishing the tick in progress) and returns
-    /// its report. The supervisor's `Arc<ServerHandle>` is released by the
-    /// time this returns.
+    /// its report. The hot-tier cap it installed is lifted and its
+    /// `Arc<ServerHandle>` released by the time this returns.
     pub fn stop(self) -> SupervisorReport {
         // A dropped receiver also stops the loop, so send errors (the
         // thread already exiting) are fine to ignore.
@@ -267,51 +280,29 @@ fn run(
             }
         }
 
-        // Tier pass: hibernate idle / over-budget hot streams and demote
-        // cold in-memory handles to disk. Runs before the spill round (an
+        // Tier pass: hibernate idle hot streams and demote cold in-memory
+        // handles to disk. Runs before the spill round (an
         // eviction's spill resets the stream's spill schedule, so the
         // round never redundantly re-spills what the tier pass just
         // wrote).
         if let Some(tier) = config.tier {
             let scan = server.tier_scan();
-            let hot: Vec<_> = scan.iter().filter(|e| e.tier == TierKind::Hot).collect();
-            let mut planned: Vec<&std::sync::Arc<str>> = Vec::new();
-            let mut planned_ids: HashSet<&str> = HashSet::new();
-            // Budget pressure first — these evictions are *urgent* (the
-            // fleet is over its memory budget): most-idle hot streams go,
-            // id order breaking ties so the plan is deterministic.
-            if let Some(max_hot) = tier.max_hot_streams {
-                if hot.len() > max_hot {
-                    let mut candidates = hot.clone();
-                    candidates.sort_by(|a, b| b.idle.cmp(&a.idle).then_with(|| a.id.cmp(&b.id)));
-                    for entry in &candidates[..hot.len() - max_hot] {
-                        if planned_ids.insert(entry.id.as_ref()) {
-                            planned.push(&entry.id);
-                        }
-                    }
-                }
-            }
-            // Idle-age trigger on whatever remains hot.
-            if let Some(idle_after) = tier.idle_after {
-                for entry in &hot {
-                    if entry.idle >= idle_after && planned_ids.insert(entry.id.as_ref()) {
-                        planned.push(&entry.id);
-                    }
-                }
-            }
-            // Cold in-memory handles: re-spill at their (frozen) position
-            // and swap the resident bytes for the disk file.
-            for entry in scan.iter().filter(|e| e.tier == TierKind::ColdMemory) {
-                if planned_ids.insert(entry.id.as_ref()) {
-                    planned.push(&entry.id);
-                }
-            }
+            // Hot streams idle past the policy's age, and cold in-memory
+            // handles (the shards' cap evictions and manual hibernations):
+            // re-spill at their (frozen) position and swap the resident
+            // bytes for the disk file.
+            let planned = scan.iter().filter(|e| match e.tier {
+                TierKind::Hot => tier.idle_after.is_some_and(|after| e.idle >= after),
+                TierKind::ColdMemory => true,
+                TierKind::ColdDisk => false,
+            });
             // The per-tick cap bounds this tick's encode+spill work; the
             // remainder drains over the following ticks (the scan re-finds
             // it).
-            for id in planned.into_iter().take(tier.max_demotions_per_tick) {
+            for entry in planned.take(tier.max_demotions_per_tick) {
+                let id = &entry.id;
                 let span = tracer.span("hibernate", id);
-                let outcome = demote(&server, &sink, id);
+                let outcome = demote(&server, &sink, id, entry.tier == TierKind::Hot);
                 span.finish();
                 match outcome {
                     Ok((outcome, position)) => {
@@ -335,6 +326,7 @@ fn run(
                             HibernateOutcome::AlreadyCold { .. } => {
                                 cold_disk.insert(id.to_string());
                             }
+                            HibernateOutcome::Hot { .. } => {}
                         }
                         // The eviction just spilled a fresh checkpoint;
                         // push the stream's periodic slot out accordingly.
@@ -416,6 +408,9 @@ fn run(
             report.errors.push(format!("trace spill: {e}"));
         }
     }
+    if config.tier.is_some_and(|tier| tier.max_hot_streams.is_some()) {
+        server.set_hot_cap(None);
+    }
     report
 }
 
@@ -457,21 +452,26 @@ fn spill(server: &ServerHandle, sink: &SnapshotSink, id: &str) -> Result<u64, Sp
 }
 
 /// Demotes one stream toward the cold-disk tier: spill a fresh checkpoint,
-/// then hand the shard its `(position, path)` so the eviction reuses the
-/// file when the stream has not stepped since (clean), or encodes on
-/// demand when it has (dirty — the in-memory bytes are demoted by the next
-/// tick's pass, by which point the position is frozen). Returns the
-/// outcome plus the spilled position.
+/// then hand the shard its `(position, path)`. With `evict` (an idle hot
+/// stream) the eviction reuses the file when the stream has not stepped
+/// since (clean), or encodes on demand when it has (dirty — the in-memory
+/// bytes are demoted by the next tick's pass, by which point the position
+/// is frozen). Without it (a cold in-memory row) the shard only swaps the
+/// bytes for the file, and leaves a stream that woke since the scan hot.
+/// Returns the outcome plus the spilled position.
 fn demote(
     server: &ServerHandle,
     sink: &SnapshotSink,
     id: &str,
+    evict: bool,
 ) -> Result<(HibernateOutcome, u64), SpillError> {
     let checkpoint = server.checkpoint_stream(id).map_err(SpillError::Serve)?;
     let position = checkpoint.checkpoint.processed().unwrap_or(0);
     let path = sink.spill_checkpoint(&checkpoint).map_err(SpillError::Io)?;
-    let outcome = server.hibernate_with(id, Some((position, path))).map_err(SpillError::Serve)?;
-    Ok((outcome, position))
+    let spill = (position, path);
+    let outcome =
+        if evict { server.hibernate_with(id, Some(spill)) } else { server.demote_with(id, spill) };
+    Ok((outcome.map_err(SpillError::Serve)?, position))
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@ use rbm_im_harness::pipeline::{PipelineBuilder, RunConfig, RunResult};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
 use rbm_im_serve::{
     deterministic_spec, ChaosFault, ChaosPlan, ChaosSpillIo, CheckpointPolicy, FaultConfig,
-    FaultPlane, FaultRate, FaultSite, IngestError, ServeConfig, ServerHandle, SnapshotSink,
-    StreamClient, Supervisor, SupervisorConfig, TierPolicy,
+    FaultPlane, FaultRate, FaultSite, HibernateOutcome, IngestError, ServeConfig, ServerHandle,
+    SnapshotSink, StreamClient, Supervisor, SupervisorConfig, TierKind, TierPolicy,
 };
 use rbm_im_streams::generators::RandomRbfGenerator;
 use rbm_im_streams::{DataStream, Instance, ReplayStream, StreamExt, StreamSchema};
@@ -397,10 +397,32 @@ fn seeded_soak_zero_loss_across_kill_restart_spill_and_storm() {
     let _ = fs::remove_dir_all(dir);
 }
 
+/// The fleet tier gauges agree with a tier scan — a barrier, so no tier
+/// transition is in flight while the gauges are read.
+fn assert_tier_gauges_match_scan(server: &ServerHandle, context: &str) {
+    let scan = server.tier_scan();
+    let hot = scan.iter().filter(|e| e.tier == TierKind::Hot).count() as i64;
+    let bytes: u64 = scan.iter().map(|e| e.resident_bytes).sum();
+    let metrics = server.metrics();
+    let gauge = |name: &str, labels: &[(&str, &str)]| metrics.gauge(name, labels).get();
+    assert_eq!(gauge("rbm_serve_streams", &[("tier", "hot")]), hot, "{context}: hot streams");
+    assert_eq!(
+        gauge("rbm_serve_streams", &[("tier", "cold")]),
+        scan.len() as i64 - hot,
+        "{context}: cold streams"
+    );
+    assert_eq!(
+        gauge("rbm_serve_cold_resident_bytes", &[]),
+        bytes as i64,
+        "{context}: cold resident bytes"
+    );
+}
+
 /// Targeted kill-shard: the revive path alone, pinned tightly. A worker
 /// panics mid-ingest via an armed burst; [`ServerHandle::revive_shard`]
-/// refuses live shards and unknown slots, replaces the dead worker, and
-/// the restored streams finish bitwise from their durable spills.
+/// refuses live shards and unknown slots, replaces the dead worker, takes
+/// the dead worker's hot and cold streams out of the fleet tier gauges,
+/// and the restored streams finish bitwise from their durable spills.
 #[test]
 fn kill_shard_revive_restores_streams_bitwise() {
     let feeds = fleet(8, 96);
@@ -432,13 +454,26 @@ fn kill_shard_revive_restores_streams_bitwise() {
         sink.spill_checkpoint(&server.checkpoint_stream(&feed.id).unwrap()).unwrap();
     }
 
+    // Shard 0 dies holding a hot stream and a cold one with resident
+    // checkpoint bytes, so all three fleet tier gauges count its streams.
+    let on_shard_0: Vec<usize> =
+        (0..feeds.len()).filter(|&i| server.shard_of(&feeds[i].id) == 0).collect();
+    assert!(on_shard_0.len() >= 2, "shard 0 owns a hot and a cold stream");
+    let cooled = on_shard_0[on_shard_0.len() - 1];
+    assert!(matches!(
+        server.hibernate_stream(&feeds[cooled].id).unwrap(),
+        HibernateOutcome::Hibernated { clean: false, .. }
+    ));
+    assert_tier_gauges_match_scan(&server, "before the kill");
+
     // Kill shard 0: arm one certain panic and trigger it with the next
     // instance of a stream routed there.
-    let victim = feeds.iter().position(|f| server.shard_of(&f.id) == 0).unwrap();
+    let victim = on_shard_0[0];
     plane.arm(FaultSite::ShardPanic, 1);
     ingest_all(&clients[victim], vec![feeds[victim].instances[head].clone()]);
     await_revive(&server, 0);
     assert_eq!(plane.injected(FaultSite::ShardPanic), 1);
+    assert_tier_gauges_match_scan(&server, "after the revive");
 
     // Streams on the dead shard restore from their spills and replay the
     // tail (the victim's lost trigger instance included); streams on the
@@ -454,6 +489,7 @@ fn kill_shard_revive_restores_streams_bitwise() {
         }
     }
     server.drain();
+    assert_tier_gauges_match_scan(&server, "after the restores");
 
     let report = server.shutdown();
     assert_eq!(report.panicked_shards, 1, "the kill is visible in the final report");

@@ -19,12 +19,13 @@ use rbm_im_obs::{MetricId, MetricsSnapshot};
 use rbm_im_serve::{
     deterministic_spec, CheckpointPolicy, HibernateOutcome, IngestError, ServeConfig, ServeError,
     ServeEventKind, ServerHandle, SnapshotSink, StreamClient, Supervisor, SupervisorConfig,
-    TierKind, TierPolicy,
+    SupervisorHandle, TierKind, TierPolicy,
 };
 use rbm_im_streams::generators::RandomRbfGenerator;
 use rbm_im_streams::{DataStream, Instance, ReplayStream, StreamExt, StreamSchema};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -298,12 +299,201 @@ fn rehydrate_on_ingest_thrash_is_bitwise_identical() {
     assert_results_match("hibernate thrash", &report.streams[0].result, &sequential);
 }
 
-/// The supervisor's budget policy bounds the hot tier: a 6-stream fleet
-/// under `max_hot_streams = 2` converges to at most 2 hot streams, every
-/// eviction reuses the fresh spill the demotion just wrote (clean — no
-/// double encode), a pre-existing cold-memory stream is demoted to disk,
-/// and the whole fleet finishes bitwise after the cold tail rehydrates on
-/// its next ingest.
+/// Starts a 2-shard server and a supervisor whose tick never comes, so
+/// the only tier transitions are the shards' own admissions under
+/// `max_hot_streams = cap`. No fault plane: a hibernate storm can empty a
+/// shard of hot streams, and that shard then admits over the cap (the
+/// path `a_shard_without_hot_streams_admits_over_the_cap_until_the_next_admission`
+/// pins).
+fn capped_server(cap: usize, dir: &std::path::Path) -> (Arc<ServerHandle>, SupervisorHandle) {
+    let server = Arc::new(ServerHandle::start_with_faults(
+        ServeConfig { num_shards: 2, queue_capacity: 64, run: run_config(), ..Default::default() },
+        Arc::new(DetectorRegistry::with_defaults()),
+        None,
+    ));
+    let supervisor = Supervisor::start(
+        Arc::clone(&server),
+        SnapshotSink::new(dir).unwrap(),
+        SupervisorConfig {
+            tick: Duration::from_secs(3600),
+            checkpoint: None,
+            tier: Some(TierPolicy::default().with_max_hot_streams(cap)),
+            ..SupervisorConfig::default()
+        },
+    );
+    (server, supervisor)
+}
+
+/// Hot streams on each of the two shards, by tier scan.
+fn hot_per_shard(server: &ServerHandle) -> [usize; 2] {
+    let mut hot = [0; 2];
+    for entry in server.tier_scan().iter().filter(|e| e.tier == TierKind::Hot) {
+        hot[server.shard_of(&entry.id)] += 1;
+    }
+    hot
+}
+
+/// The hot-tier cap holds at every instant, not only after a supervisor
+/// tick: 6 streams on 2 shards under `max_hot_streams = 2`, with a
+/// supervisor whose tick never comes (so no tier pass ever runs), and one
+/// ingest thread per stream. Every tier scan and every read of the hot
+/// gauge taken while they ingest shows at most 2 hot streams, because a
+/// shard admits a stream only into a free slot it reserved or into the
+/// slot of its own least-recently-active stream, which it evicts — and
+/// every result is bitwise-identical to its sequential replay.
+#[test]
+fn shards_hold_the_hot_cap_during_concurrent_ingest_bitwise() {
+    if skip_under_forced_hibernation() {
+        return;
+    }
+    const MAX_HOT: usize = 2;
+    let feeds = fleet(6, 2_000);
+    let run = run_config();
+    let dir = scratch("strict-cap");
+    let (server, supervisor) = capped_server(MAX_HOT, &dir);
+    let hot_gauge = server.metrics().gauge("rbm_serve_streams", &[("tier", "hot")]);
+    let clients: Vec<StreamClient> = feeds
+        .iter()
+        .map(|feed| server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap())
+        .collect();
+
+    let ingesting = AtomicUsize::new(feeds.len());
+    let (mut peak_scan, mut peak_gauge, mut reads) = (0usize, 0i64, 0usize);
+    std::thread::scope(|scope| {
+        for (feed, client) in feeds.iter().zip(&clients) {
+            let ingesting = &ingesting;
+            scope.spawn(move || {
+                for chunk in feed.instances.chunks(50) {
+                    ingest_all(client, chunk.to_vec());
+                }
+                ingesting.fetch_sub(1, Ordering::Relaxed);
+            });
+        }
+        while ingesting.load(Ordering::Relaxed) > 0 {
+            let hot = server.tier_scan().iter().filter(|e| e.tier == TierKind::Hot).count();
+            peak_scan = peak_scan.max(hot);
+            peak_gauge = peak_gauge.max(hot_gauge.get());
+            reads += 1;
+        }
+    });
+    assert!(reads > 0, "the scans must overlap the ingest");
+    assert!(peak_scan <= MAX_HOT, "a tier scan saw {peak_scan} hot streams, cap {MAX_HOT}");
+    assert!(peak_gauge <= MAX_HOT as i64, "the hot gauge read {peak_gauge}, cap {MAX_HOT}");
+    server.drain();
+    let hot = server.tier_scan().iter().filter(|e| e.tier == TierKind::Hot).count();
+    assert!(hot <= MAX_HOT, "{hot} hot streams after the drain, cap {MAX_HOT}");
+
+    let report = supervisor.stop();
+    assert!(report.errors.is_empty(), "supervisor errors: {:?}", report.errors);
+    drop(clients);
+    let final_report = Arc::try_unwrap(server).expect("supervisor stopped").shutdown();
+    assert_eq!(final_report.streams.len(), feeds.len());
+    assert_eq!(final_report.panicked_shards, 0);
+    for summary in &final_report.streams {
+        let feed = feeds.iter().find(|f| f.id == summary.stream).unwrap();
+        let sequential = sequential_baseline(feed, run, ServeConfig::default().base_seed);
+        assert_results_match(&format!("strict cap {}", feed.id), &summary.result, &sequential);
+    }
+    let _ = fs::remove_dir_all(dir);
+}
+
+/// `count` feeds of `spec`, their ids picked so the feeds alternate
+/// between the two shards of `server`, starting with shard 0.
+fn feeds_alternating(server: &ServerHandle, count: usize, spec: &str, total: usize) -> Vec<Feed> {
+    let mut ids = (0..).map(|i| format!("cap-{i:03}"));
+    (0..count)
+        .map(|i| {
+            let id = ids.find(|id| server.shard_of(id) == i % 2).unwrap();
+            let (schema, instances) = record_drifting_stream(700 + i as u64, total / 2, total);
+            Feed { id, schema, instances, spec: DetectorSpec::parse(spec).unwrap() }
+        })
+        .collect()
+}
+
+/// The over-cap path (`ARCHITECTURE.md` §9): under `max_hot_streams = 2`,
+/// a shard that owns no hot stream admits over the cap while the other
+/// shard holds both slots, and the next admission on that other shard
+/// evicts the fleet back down to the cap.
+#[test]
+fn a_shard_without_hot_streams_admits_over_the_cap_until_the_next_admission() {
+    if skip_under_forced_hibernation() {
+        return;
+    }
+    let dir = scratch("over-cap");
+    let (server, supervisor) = capped_server(2, &dir);
+    let hot_gauge = server.metrics().gauge("rbm_serve_streams", &[("tier", "hot")]);
+    // Shards 0, 1, 0, 1, 0 in order.
+    let feeds = feeds_alternating(&server, 5, "adwin(delta=0.01)", 100);
+    for (feed, hot) in [(0, [1, 0]), (2, [2, 0]), (1, [2, 1]), (4, [1, 1]), (3, [1, 1])] {
+        server.attach(&feeds[feed].id, feeds[feed].schema.clone(), &feeds[feed].spec).unwrap();
+        assert_eq!(hot_per_shard(&server), hot, "hot streams per shard after attaching {feed}");
+        assert_eq!(hot_gauge.get(), (hot[0] + hot[1]) as i64, "the gauge agrees with the scan");
+    }
+    assert!(supervisor.stop().errors.is_empty());
+    let report = Arc::try_unwrap(server).expect("supervisor stopped").shutdown();
+    assert_eq!(report.streams.len(), 5);
+    let _ = fs::remove_dir_all(dir);
+}
+
+/// A looped race on the slot hand-over: 2 shards own 2 streams each under
+/// `max_hot_streams = 2`. One feeder per shard alternates single-instance
+/// messages between its two streams, so once each shard holds one hot
+/// stream, every message is an admission that evicts the shard's other
+/// stream, on both shards at once. A shard that gave its victim's slot
+/// back to the fleet before taking one for the new stream could lose it
+/// to the other shard, find nothing left to evict and stay over the cap.
+/// Each shard ends every round with exactly one hot stream, and every
+/// result is bitwise-identical to its sequential replay.
+#[test]
+fn hot_slots_change_hands_without_a_gap_under_admission_races() {
+    if skip_under_forced_hibernation() {
+        return;
+    }
+    let run = run_config();
+    let dir = scratch("slot-race");
+    for round in 0..10 {
+        let (server, supervisor) = capped_server(2, &dir);
+        let spec = "rbm(mini_batch=25, warmup=4, persistence=1)";
+        let feeds = feeds_alternating(&server, 4, spec, 400);
+        let clients: Vec<StreamClient> = feeds
+            .iter()
+            .map(|feed| server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap())
+            .collect();
+        std::thread::scope(|scope| {
+            for shard in 0..2 {
+                // Feeds `shard` and `shard + 2` live on this shard.
+                let (feeds, clients) = (&feeds, &clients);
+                scope.spawn(move || {
+                    for i in 0..feeds[shard].instances.len() {
+                        for f in [shard, shard + 2] {
+                            ingest_all(&clients[f], vec![feeds[f].instances[i].clone()]);
+                        }
+                    }
+                });
+            }
+        });
+        server.drain();
+        assert_eq!(hot_per_shard(&server), [1, 1], "round {round}: hot streams per shard");
+        assert!(supervisor.stop().errors.is_empty());
+        drop(clients);
+        let report = Arc::try_unwrap(server).expect("supervisor stopped").shutdown();
+        assert_eq!(report.streams.len(), feeds.len());
+        for summary in &report.streams {
+            let feed = feeds.iter().find(|f| f.id == summary.stream).unwrap();
+            let sequential = sequential_baseline(feed, run, ServeConfig::default().base_seed);
+            let context = format!("slot race {round} {}", feed.id);
+            assert_results_match(&context, &summary.result, &sequential);
+        }
+    }
+    let _ = fs::remove_dir_all(dir);
+}
+
+/// A supervisor's capped tier policy bounds the hot tier from the first
+/// attach: under `max_hot_streams = 2` the shards keep a 6-stream fleet
+/// at most 2 hot while it ingests, their cap evictions are dirty, and the
+/// supervisor's cold-memory pass demotes those bytes — and a manually
+/// pre-cooled stream's — to disk. The whole fleet finishes bitwise after
+/// the cold tail rehydrates on its next ingest.
 #[test]
 fn supervisor_budget_policy_bounds_the_hot_tier_bitwise() {
     if skip_under_forced_hibernation() {
@@ -320,25 +510,6 @@ fn supervisor_budget_policy_bounds_the_hot_tier_bitwise() {
         run,
         ..Default::default()
     }));
-    let clients: Vec<StreamClient> = feeds
-        .iter()
-        .map(|feed| server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap())
-        .collect();
-    for (i, feed) in feeds.iter().enumerate() {
-        ingest_all(&clients[i], feed.instances[..head].to_vec());
-    }
-    server.drain();
-    // One stream is already cold with in-memory bytes before the
-    // supervisor starts: its only path to disk is the tier pass's
-    // demotion.
-    assert!(matches!(
-        server.hibernate_stream(&feeds[5].id).unwrap(),
-        HibernateOutcome::Hibernated { clean: false, .. }
-    ));
-    // Subscribed after the manual (dirty) eviction: every Hibernated
-    // notice seen below comes from the supervisor's tier pass.
-    let events = server.subscribe();
-
     let supervisor = Supervisor::start(
         Arc::clone(&server),
         SnapshotSink::new(&dir).unwrap(),
@@ -353,48 +524,51 @@ fn supervisor_budget_policy_bounds_the_hot_tier_bitwise() {
             ..SupervisorConfig::default()
         },
     );
-    // Let the tier pass drain the idle fleet toward the budget.
+    let clients: Vec<StreamClient> = feeds
+        .iter()
+        .map(|feed| server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap())
+        .collect();
+    for (i, feed) in feeds.iter().enumerate() {
+        ingest_all(&clients[i], feed.instances[..head].to_vec());
+    }
+    server.drain();
+    let scan = server.tier_scan();
+    let hot: Vec<_> = scan.iter().filter(|e| e.tier == TierKind::Hot).collect();
+    assert!(hot.len() <= MAX_HOT, "hot tier over the cap: {} > {MAX_HOT}", hot.len());
+    // Cool one of the hot streams by hand: its in-memory bytes reach disk
+    // only through the tier pass's demotion.
+    assert!(matches!(
+        server.hibernate_stream(&hot[0].id).unwrap(),
+        HibernateOutcome::Hibernated { clean: false, .. }
+    ));
+    // Let the tier pass demote every in-memory cold handle.
     std::thread::sleep(Duration::from_millis(300));
 
     let scan = server.tier_scan();
     let hot = scan.iter().filter(|e| e.tier == TierKind::Hot).count();
     let cold_disk = scan.iter().filter(|e| e.tier == TierKind::ColdDisk).count();
-    assert!(hot <= MAX_HOT, "hot tier over budget: {hot} > {MAX_HOT}");
+    assert!(hot < MAX_HOT, "the pre-cooled stream left the hot tier: {hot}");
     assert_eq!(hot + cold_disk, feeds.len(), "every cold stream became disk-authoritative");
     let health = server.health();
     assert_eq!(health.streams, feeds.len());
     assert_eq!(health.hot_streams, hot);
     assert_eq!(health.cold_streams, feeds.len() - hot);
 
-    // Evictions of *idle* streams demote through the checkpoint the tier
-    // pass just spilled, so they are always clean — no state re-encoded.
-    // (Evictions racing the live ingest below may legitimately be dirty.)
-    let mut clean_evictions = 0u64;
-    for event in events.try_iter() {
-        if let ServeEventKind::Hibernated { clean, .. } = event.kind {
-            assert!(clean, "tier-pass evictions of idle streams reuse the fresh spill");
-            clean_evictions += 1;
-        }
-    }
-    assert!(
-        clean_evictions >= (feeds.len() - 1 - MAX_HOT) as u64,
-        "budget pressure must have cleanly evicted the hot overflow: {clean_evictions}"
-    );
-
-    // Wake everyone with the tail; the supervisor keeps running (and keeps
-    // evicting the idle-again streams) throughout.
+    // Wake everyone with the tail; the shards keep the cap and the
+    // supervisor keeps demoting their evictions throughout.
     for (i, feed) in feeds.iter().enumerate() {
         ingest_all(&clients[i], feed.instances[head..].to_vec());
     }
     server.drain();
+    let hot = server.tier_scan().iter().filter(|e| e.tier == TierKind::Hot).count();
+    assert!(hot <= MAX_HOT, "hot tier over the cap after the tail: {hot} > {MAX_HOT}");
     let report = supervisor.stop();
     assert!(report.errors.is_empty(), "supervisor errors: {:?}", report.errors);
+    assert_eq!(report.hibernations, 0, "the tier pass only demotes; it evicts no stream");
     assert!(
-        report.hibernations >= (feeds.len() - MAX_HOT) as u64,
-        "budget pressure must have evicted the overflow: {report:?}"
+        report.disk_demotions >= (feeds.len() - MAX_HOT) as u64,
+        "every cap eviction and the pre-cooled stream's bytes must reach disk: {report:?}"
     );
-    assert!(report.disk_demotions >= 1, "the pre-cooled stream's bytes must reach disk");
-    drop(events);
 
     let final_report = Arc::try_unwrap(server).expect("supervisor stopped").shutdown();
     assert_eq!(final_report.streams.len(), feeds.len());
@@ -699,6 +873,7 @@ proptest! {
                         HibernateOutcome::DemotedToDisk { .. } => {
                             panic!("no spill offered: demotion to disk is impossible")
                         }
+                        HibernateOutcome::Hot { .. } => panic!("hibernate_stream always evicts"),
                     }
                     cold = true;
                 }

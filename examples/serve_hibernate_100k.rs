@@ -4,8 +4,10 @@
 //! One hundred thousand drifting feeds are attached, warmed up, and
 //! hibernated in waves onto an 8-shard fleet whose hot tier is capped by
 //! a [`TierPolicy`] byte budget that is provably too small to hold even
-//! one wave — the supervisor evicts LRU streams under the cap while the
-//! waves are still ingesting, then demotes the parked in-memory
+//! one wave. The shards enforce the cap as each stream is admitted,
+//! evicting their least-recently-active streams into in-memory
+//! checkpoints while the waves are still ingesting, so the hot tier never
+//! exceeds the cap; the supervisor then demotes those in-memory
 //! checkpoints to binary spill files so steady-state cold streams cost
 //! file-system bytes, not RAM. A skewed phase then drives live traffic at
 //! 32 of the 100k feeds — a mixed fleet of the trainable RBM detectors
@@ -39,7 +41,7 @@ fn stream_count() -> usize {
 }
 
 /// Streams attached + warmed per wave. Each wave alone overflows the hot
-/// budget below, so supervisor evictions race the wave's own ingest.
+/// budget below, so the shards' cap evictions race the wave's own ingest.
 const WAVE: usize = 512;
 /// Warm-up instances per stream: enough to finish the detector's warmup
 /// (2 minibatches of 10) and settle real pipeline state worth spilling.
@@ -192,16 +194,23 @@ fn main() {
             })
             .collect();
         server.drain();
-        // Explicitly hibernate the wave; streams the supervisor's budget
-        // pass evicted first come back `AlreadyCold`, which is fine.
+        // The wave overflowed the cap while it ingested; the shards held it.
+        let health = server.health();
+        assert!(
+            health.hot_streams <= max_hot,
+            "hot tier over budget after wave {wave_start}: {} > {max_hot}",
+            health.hot_streams
+        );
+        // Explicitly hibernate the wave; streams the shards already
+        // evicted under the cap come back `AlreadyCold`, which is fine.
         for client in &clients {
             server.hibernate_stream(client.id()).expect("hibernate warmed stream");
         }
         wave_start = wave_end;
         if wave_start.is_multiple_of(WAVE * 32) || wave_start == n {
-            let health = server.health();
             println!(
-                "  {wave_start:>6}/{n} attached — hot {} / cold {}, cold resident {} KiB",
+                "  {wave_start:>6}/{n} attached — hot {} (≤ {max_hot}) / cold {} before the \
+                 wave's hibernation, cold resident {} KiB",
                 health.hot_streams,
                 health.cold_streams,
                 cold_resident_bytes(&server) / 1024
