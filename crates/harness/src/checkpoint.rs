@@ -130,17 +130,16 @@ impl PipelineCheckpoint {
         Ok(stepper)
     }
 
-    /// Serializes the checkpoint with the chosen codec
-    /// ([`CheckpointCodec::Binary`] is RBMC, the format
-    /// [`PipelineCheckpoint::from_bytes`] reads; the repository benchmark's
+    /// Serializes the checkpoint as RBMC, the format
+    /// [`PipelineCheckpoint::from_bytes`] reads (the repository benchmark's
     /// `checkpoint.bytes` tracks its size on warmed pipelines).
-    /// [`CheckpointCodec::Json`] is a write-only debugging dump.
-    pub fn to_bytes(&self, codec: CheckpointCodec) -> Vec<u8> {
-        codec::encode(codec, self)
+    /// [`CheckpointCodec`] has the one `Binary` variant.
+    pub fn to_bytes(&self, _codec: CheckpointCodec) -> Vec<u8> {
+        codec::encode(self)
     }
 
-    /// Parses a checkpoint written by [`PipelineCheckpoint::to_bytes`]
-    /// with [`CheckpointCodec::Binary`]; a JSON dump is rejected.
+    /// Parses a checkpoint written by [`PipelineCheckpoint::to_bytes`];
+    /// anything that is not RBMC is rejected.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         Ok(codec::decode(bytes)?)
     }

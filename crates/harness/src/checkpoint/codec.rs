@@ -64,17 +64,15 @@ const HEADER_BYTES: usize = 6;
 /// Bytes of the CRC32C trailer every RBMC payload ends with.
 const CHECKSUM_BYTES: usize = 4;
 
-/// Checkpoint serialization format of [`encode`].
-///
-/// [`CheckpointCodec::Binary`] is RBMC, the compact framing documented at
-/// the [module level](self) and the only format [`decode`] reads.
-/// [`CheckpointCodec::Json`] is a write-only debugging dump — diffable and
-/// greppable, but nothing in the workspace reads it back.
+/// The checkpoint format of
+/// [`PipelineCheckpoint::to_bytes`](crate::checkpoint::PipelineCheckpoint::to_bytes).
+/// RBMC, the compact framing documented at the [module level](self), is
+/// the only one. The enum exists only so that the repository benchmark's
+/// `to_bytes(CheckpointCodec::Binary)` call keeps compiling; with one
+/// variant it cannot carry a choice, and it can go once the benchmark
+/// stops naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointCodec {
-    /// A human-readable JSON dump of the [`Value`] tree, for debugging
-    /// only: [`decode`] does not read it.
-    Json,
     /// RBMC, the compact versioned binary framing.
     Binary,
 }
@@ -120,10 +118,10 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Serializes any [`Serialize`] type with the chosen codec.
-pub fn encode<T: Serialize>(codec: CheckpointCodec, value: &T) -> Vec<u8> {
+/// Serializes any [`Serialize`] type as RBMC.
+pub fn encode<T: Serialize>(value: &T) -> Vec<u8> {
     let mut out = Vec::with_capacity(1024);
-    encode_into(codec, value, &mut out);
+    encode_into(value, &mut out);
     out
 }
 
@@ -132,17 +130,12 @@ pub fn encode<T: Serialize>(codec: CheckpointCodec, value: &T) -> Vec<u8> {
 /// schedule — the serving `SnapshotSink` above all — reuse one scratch
 /// buffer across spills so steady-state encoding stops paying a fresh
 /// output allocation per checkpoint.
-pub fn encode_into<T: Serialize>(codec: CheckpointCodec, value: &T, out: &mut Vec<u8>) {
-    match codec {
-        CheckpointCodec::Json => out.extend_from_slice(
-            serde_json::to_string(&value.serialize_value()).unwrap_or_default().as_bytes(),
-        ),
-        CheckpointCodec::Binary => encode_value_into(&value.serialize_value(), out),
-    }
+pub fn encode_into<T: Serialize>(value: &T, out: &mut Vec<u8>) {
+    encode_value_into(&value.serialize_value(), out);
 }
 
-/// Deserializes bytes written by [`encode`] with [`CheckpointCodec::Binary`].
-/// Anything without the `RBMC` magic, a JSON dump included, is
+/// Deserializes bytes written by [`encode`]. Anything without the `RBMC`
+/// magic, a JSON rendering of the same value included, is
 /// [`CodecError::Malformed`].
 pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
     let value = decode_value(bytes)?;
@@ -700,8 +693,8 @@ mod tests {
     #[test]
     fn decode_reads_rbmc_and_rejects_json() {
         let value = Value::object(vec![("n", Value::Number(7.0))]);
-        let binary = encode(CheckpointCodec::Binary, &value);
-        let json = encode(CheckpointCodec::Json, &value);
+        let binary = encode(&value);
+        let json = serde_json::to_string(&value).unwrap().into_bytes();
         assert!(binary.starts_with(&BINARY_MAGIC));
         assert_eq!(decode::<Value>(&binary).unwrap(), value);
         assert!(matches!(decode::<Value>(&json), Err(CodecError::Malformed(_))));

@@ -24,9 +24,7 @@
 //! panic the worker; `tests/protocol.rs` fuzzes truncations and byte
 //! flips of every frame type against that contract.
 
-use rbm_im_harness::checkpoint::codec::{
-    self, read_varint, write_varint, CheckpointCodec, CodecError,
-};
+use rbm_im_harness::checkpoint::codec::{self, read_varint, write_varint, CodecError};
 use rbm_im_harness::pipeline::{RunConfig, RunResult};
 use rbm_im_obs::MetricsSnapshot;
 use rbm_im_serve::{HealthSnapshot, ServeEvent, ServeEventKind, ServeReport, StreamCheckpoint};
@@ -355,15 +353,15 @@ pub fn encode_payload(frame: &Frame) -> Vec<u8> {
         }
         Frame::Result(result) => {
             out.push(FT_RESULT);
-            out.extend_from_slice(&codec::encode(CheckpointCodec::Binary, result.as_ref()));
+            out.extend_from_slice(&codec::encode(result.as_ref()));
         }
         Frame::CheckpointData(checkpoint) => {
             out.push(FT_CHECKPOINT_DATA);
-            out.extend_from_slice(&codec::encode(CheckpointCodec::Binary, checkpoint.as_ref()));
+            out.extend_from_slice(&codec::encode(checkpoint.as_ref()));
         }
         Frame::Report(report) => {
             out.push(FT_REPORT);
-            out.extend_from_slice(&codec::encode(CheckpointCodec::Binary, report.as_ref()));
+            out.extend_from_slice(&codec::encode(report.as_ref()));
         }
         Frame::Event(event) => {
             out.push(FT_EVENT);
@@ -869,7 +867,7 @@ mod tests {
 
     #[test]
     fn json_bodies_are_malformed() {
-        // Bodies decode as RBMC only: the JSON dump of the very value an
+        // Bodies decode as RBMC only: a JSON rendering of the very value an
         // attach frame carries is rejected, never parsed.
         let value = Value::object(vec![
             ("stream", Value::String("feed-00".into())),
@@ -880,9 +878,9 @@ mod tests {
         let mut header = WIRE_MAGIC.to_vec();
         header.extend_from_slice(&WIRE_VERSION.to_le_bytes());
         header.push(FT_ATTACH);
-        let rbmc = [header.clone(), codec::encode(CheckpointCodec::Binary, &value)].concat();
+        let rbmc = [header.clone(), codec::encode(&value)].concat();
         assert!(matches!(decode_payload(&rbmc), Ok(Frame::Attach { .. })));
-        let json = [header, codec::encode(CheckpointCodec::Json, &value)].concat();
+        let json = [header, serde_json::to_string(&value).unwrap().into_bytes()].concat();
         assert!(matches!(decode_payload(&json), Err(WireError::Malformed(_))));
     }
 

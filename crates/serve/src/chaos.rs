@@ -35,7 +35,9 @@
 //! The `RBM_CHAOS=<rate>` environment gate ([`env_plane`]) arms only the
 //! **result-invisible** sites (hibernate storms, net delays) at the given
 //! rate, so CI can run the ordinary determinism suites under a low-rate
-//! fault plane and still demand bitwise-identical results.
+//! fault plane and still demand bitwise-identical results. At
+//! `RBM_CHAOS=1` every draw fires: each stream is evicted to cold after
+//! every processed message, the worst-case tiering thrash.
 
 use rbm_im_obs::{Counter, MetricsRegistry};
 use serde::{Deserialize, Serialize};

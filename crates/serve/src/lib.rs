@@ -40,7 +40,7 @@
 //!   nothing reordered; `tests/resharding.rs`), and
 //!   [`SnapshotSink`] spills per-stream
 //!   [`StreamCheckpoint`]s to disk — in the compact binary checkpoint
-//!   codec by default ([`rbm_im_harness::checkpoint::codec`]) — for
+//!   codec ([`rbm_im_harness::checkpoint::codec`]) — for
 //!   bitwise warm restarts;
 //! * the fleet is **autonomic**: a background
 //!   [`Supervisor`] closes the loop on those
@@ -129,7 +129,7 @@ pub use server::{
     StreamCheckpoint, StreamClient, StreamSummary,
 };
 pub use shard::{TierKind, TierScanEntry};
-pub use sink::{MetricRetention, OsSpillIo, SnapshotSink, SpillIo};
+pub use sink::{OsSpillIo, SnapshotSink, SpillIo};
 pub use supervisor::{
     CheckpointPolicy, Supervisor, SupervisorConfig, SupervisorHandle, SupervisorReport,
 };

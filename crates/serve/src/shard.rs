@@ -47,7 +47,7 @@
 use crate::chaos::FaultPlane;
 use crate::event::{EventBus, ServeEvent, ServeEventKind};
 use crate::server::{HibernateOutcome, ServeError, StreamCheckpoint, StreamSummary};
-use rbm_im_harness::checkpoint::codec::{self, CheckpointCodec};
+use rbm_im_harness::checkpoint::codec;
 use rbm_im_harness::checkpoint::PipelineCheckpoint;
 use rbm_im_harness::pipeline::{RunConfig, RunResult};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
@@ -58,24 +58,8 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Whether `RBM_HIBERNATE` forces aggressive shard-level hibernation:
-/// every stream is evicted to its binary checkpoint right after **each**
-/// processed ingest message, so the next message rehydrates it again.
-/// Worst-case thrash on purpose — the CI `hibernate` job runs the
-/// determinism suites under this to prove tiering is bitwise-invisible.
-/// Read once; the value is fixed for the process lifetime.
-fn forced_hibernate() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        matches!(
-            std::env::var("RBM_HIBERNATE").ok().as_deref(),
-            Some("on") | Some("1") | Some("true") | Some("aggressive") | Some("every")
-        )
-    })
-}
 
 /// Lock-free per-shard load counters, shared between the ingest senders
 /// (which count enqueues) and the worker thread (which counts completions).
@@ -827,14 +811,11 @@ impl ShardWorker {
             self.ingest_latency.record(elapsed_ns);
             state.step_latency.record(elapsed_ns);
         }
-        // Forced tiering (`RBM_HIBERNATE`): evict right back to cold after
-        // every message, so the determinism suites thrash the hibernate/
-        // rehydrate cycle as hard as possible. The chaos plane's
-        // hibernate-storm site does the same thing at a seeded rate —
-        // tiering is bitwise-invisible, so neither may change a result.
-        let storm =
-            self.faults.as_ref().is_some_and(|f| f.chaos_hibernate(self.index, self.messages_seen));
-        if forced_hibernate() || storm {
+        // The chaos plane's hibernate-storm site evicts the stream right
+        // back to cold after this message at a seeded rate (`RBM_CHAOS=1`:
+        // after every message, the worst-case thrash) — tiering is
+        // bitwise-invisible, so it may never change a result.
+        if self.faults.as_ref().is_some_and(|f| f.chaos_hibernate(self.index, self.messages_seen)) {
             let _ = self.hibernate(id, None, true);
         }
     }
@@ -880,10 +861,7 @@ impl ShardWorker {
                     // memory — shard workers never write spill files (the
                     // supervisor thread owns the disk), so a racing
                     // background spill can never clobber fresher state.
-                    ColdHandle::Memory(codec::encode(
-                        CheckpointCodec::Binary,
-                        &state.checkpoint(id)?,
-                    ))
+                    ColdHandle::Memory(codec::encode(&state.checkpoint(id)?))
                 };
                 self.gauge.shift_tiers(-i64::from(release), 1, handle.resident_bytes() as i64);
                 // Replacing the hot slot drops the stream's live state.

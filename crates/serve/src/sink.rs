@@ -1,6 +1,6 @@
-//! Disk persistence for served streams: spill per-stream RBMC checkpoints
-//! and prequential metric snapshots, and load them back for
-//! restart-from-disk.
+//! Disk persistence for served streams: spill per-stream RBMC
+//! checkpoints, load them back for restart-from-disk, and keep the
+//! supervisor's trace log.
 //!
 //! A [`SnapshotSink`] owns a directory. Two artifact kinds live in it:
 //!
@@ -8,22 +8,20 @@
 //!   per stream (schema, effective spec, run config and complete pipeline
 //!   state), overwritten on every spill. It is written in the compact
 //!   RBMC binary codec ([`rbm_im_harness::checkpoint::codec`]), the only
-//!   checkpoint format the sink reads back; legacy JSON spills of older
-//!   builds are not loaded. A restarted process loads
+//!   checkpoint format there is. A restarted process loads
 //!   these with [`SnapshotSink::load_checkpoints`] and hands each to
 //!   [`ServerHandle::restore_stream`](crate::server::ServerHandle::restore_stream)
 //!   so the stream resumes bitwise-identically;
-//! * `<stream>.metrics.jsonl` — appended [`PrequentialSnapshot`] lines
-//!   (one JSON object per snapshot event), giving dashboards history
-//!   across restarts. Feed the sink from a bus subscription via
-//!   [`SnapshotSink::record_event`]. With a [`MetricRetention`] policy
-//!   configured ([`SnapshotSink::with_retention`]), oversized or overaged
-//!   live files rotate to numbered generations
-//!   (`<stream>.metrics.1.jsonl` is the newest sealed generation) with a
-//!   bounded keep count — the
-//!   [`Supervisor`](crate::supervisor::Supervisor) enforces this off its
-//!   spill schedule, and [`SnapshotSink::load_metrics`] reads the
-//!   generations back oldest-first so history order survives rotation.
+//! * `trace.jsonl` — the slow-path spans the
+//!   [`Supervisor`](crate::supervisor::Supervisor) drains from the
+//!   server's tracer ([`SnapshotSink::spill_trace`]). Once it reaches
+//!   [`TRACE_ROTATE_BYTES`] it is renamed over `trace.1.jsonl`, so the
+//!   trace never holds more than two files on disk.
+//!
+//! Metric history is not kept here: the bus publishes a
+//! [`Snapshot`](crate::event::ServeEventKind::Snapshot) event per stream
+//! on the run's metric window, and a subscriber that wants the history
+//! records it itself.
 //!
 //! Spills are atomic (a uniquely named temp file + rename), so a process
 //! crash mid-spill leaves the previous checkpoint intact and concurrent
@@ -36,12 +34,9 @@
 //! kept; everything else mapped to `_` plus a hash suffix on collision
 //! risk), so arbitrary ids cannot escape the sink directory.
 
-use crate::event::{ServeEvent, ServeEventKind};
 use crate::server::StreamCheckpoint;
-use rbm_im_harness::checkpoint::codec::{self, CheckpointCodec};
-use rbm_im_metrics::PrequentialSnapshot;
+use rbm_im_harness::checkpoint::codec;
 use rbm_im_obs::{Histogram, MetricsRegistry, TraceEvent};
-use serde::Serialize as _;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
@@ -61,30 +56,9 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 /// these temp files alone.
 static IN_FLIGHT: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
 
-/// Rotation policy for per-stream metric history files. The live
-/// `<stream>.metrics.jsonl` rotates to `<stream>.metrics.1.jsonl` (older
-/// generations shift up by one, the oldest beyond `keep_rotations` is
-/// deleted) when it exceeds `max_bytes`, or — if `max_age` is set — when
-/// it has lived longer than that.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricRetention {
-    /// Rotate once the live file reaches this many bytes.
-    pub max_bytes: u64,
-    /// Sealed generations to keep (`0` = rotation simply truncates the
-    /// history).
-    pub keep_rotations: usize,
-    /// Rotate a non-empty live file older than this regardless of size
-    /// (age is measured from the file's creation time where the
-    /// filesystem reports one, from its last modification otherwise).
-    /// `None` = size-only rotation.
-    pub max_age: Option<std::time::Duration>,
-}
-
-impl Default for MetricRetention {
-    fn default() -> Self {
-        MetricRetention { max_bytes: 1 << 20, keep_rotations: 2, max_age: None }
-    }
-}
+/// Size at which the live `trace.jsonl` is renamed over `trace.1.jsonl`:
+/// the trace log holds at most this plus one drained batch per file.
+pub const TRACE_ROTATE_BYTES: u64 = 1 << 20;
 
 /// Checkpoint-spill timing instruments
 /// (`rbm_supervisor_spill_seconds{phase=encode|write}`), bound via
@@ -107,7 +81,7 @@ impl fmt::Debug for SpillObs {
 /// passthrough; the chaos plane substitutes
 /// [`ChaosSpillIo`](crate::chaos::ChaosSpillIo) to inject ENOSPC,
 /// short-write and corrupt-on-read faults deterministically
-/// ([`SnapshotSink::with_io`]). Directory scans and metric/trace appends
+/// ([`SnapshotSink::with_io`]). Directory scans and trace appends
 /// stay on the raw filesystem — the fault surface under test is the
 /// checkpoint durability path.
 pub trait SpillIo: Send + Sync + fmt::Debug {
@@ -137,11 +111,10 @@ impl SpillIo for OsSpillIo {
     }
 }
 
-/// Spill directory for checkpoints and metric history.
+/// Spill directory for checkpoints and the trace log.
 #[derive(Debug)]
 pub struct SnapshotSink {
     dir: PathBuf,
-    retention: Option<MetricRetention>,
     spill_obs: Option<SpillObs>,
     /// The filesystem seam checkpoint writes/renames/reads go through
     /// ([`OsSpillIo`] unless [`SnapshotSink::with_io`] swapped it).
@@ -178,7 +151,6 @@ impl SnapshotSink {
         }
         Ok(SnapshotSink {
             dir,
-            retention: None,
             spill_obs: None,
             io: Arc::new(OsSpillIo),
             encode_scratch: Mutex::new(Vec::new()),
@@ -192,20 +164,6 @@ impl SnapshotSink {
     pub fn with_io(mut self, io: Arc<dyn SpillIo>) -> Self {
         self.io = io;
         self
-    }
-
-    /// Enables metric-history rotation under `retention`. Without this,
-    /// live metric files grow unboundedly (the pre-rotation behavior) —
-    /// though [`SnapshotSink::load_metrics`] always reads any sealed
-    /// generations a retention-configured process left behind.
-    pub fn with_retention(mut self, retention: MetricRetention) -> Self {
-        self.retention = Some(retention);
-        self
-    }
-
-    /// The metric retention policy, if one is configured.
-    pub fn retention(&self) -> Option<MetricRetention> {
-        self.retention
     }
 
     /// Binds spill-timing instruments from `metrics`: every subsequent
@@ -238,7 +196,7 @@ impl SnapshotSink {
         let mut scratch = self.encode_scratch.lock().expect("encode scratch poisoned");
         scratch.clear();
         let encode_started = Instant::now();
-        codec::encode_into(CheckpointCodec::Binary, checkpoint, &mut scratch);
+        codec::encode_into(checkpoint, &mut scratch);
         if let Some(obs) = &self.spill_obs {
             obs.encode.record(encode_started.elapsed().as_nanos() as u64);
         }
@@ -301,105 +259,12 @@ impl SnapshotSink {
         })
     }
 
-    /// Appends one prequential snapshot to the stream's metrics history
-    /// (`<stream>.metrics.jsonl`, one JSON object per line).
-    pub fn spill_snapshot(
-        &self,
-        stream: &str,
-        position: u64,
-        snapshot: &PrequentialSnapshot,
-    ) -> io::Result<()> {
-        let value = serde::Value::object(vec![
-            ("stream", stream.serialize_value()),
-            ("position", position.serialize_value()),
-            ("snapshot", snapshot.serialize_value()),
-        ]);
-        let line = serde_json::to_string(&value)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut file =
-            fs::OpenOptions::new().create(true).append(true).open(self.metrics_path(stream))?;
-        writeln!(file, "{line}")
-    }
-
-    /// Routes one bus event into the sink: metric snapshots are appended
-    /// to the stream's history, everything else is ignored. Wire a bus
-    /// subscription loop straight through this.
-    pub fn record_event(&self, event: &ServeEvent) -> io::Result<()> {
-        match &event.kind {
-            ServeEventKind::Snapshot { position, snapshot } => {
-                self.spill_snapshot(&event.stream, *position, snapshot)
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Applies the configured [`MetricRetention`] to one stream's live
-    /// metric file: if it is oversized (or overaged), sealed generations
-    /// shift up one slot (dropping the one beyond `keep_rotations`) and
-    /// the live file becomes `<stream>.metrics.1.jsonl`. Returns whether a
-    /// rotation happened. A sink without a retention policy, a missing
-    /// live file, and an empty live file are all no-ops.
-    ///
-    /// The [`Supervisor`](crate::supervisor::Supervisor) calls this after
-    /// each successful background spill of the stream, so rotation rides
-    /// the spill schedule and needs no clock of its own.
-    pub fn enforce_metric_retention(&self, stream: &str) -> io::Result<bool> {
-        let live = self.metrics_path(stream);
-        self.enforce_rotation(&live, |generation| self.rotated_metrics_path(stream, generation))
-    }
-
-    /// The shared rotation engine behind metric-history and trace-log
-    /// retention: applies the sink's [`MetricRetention`] to `live`, with
-    /// `rotated(n)` naming the n-th sealed generation. Returns whether a
-    /// rotation happened; no policy / missing file / empty file are no-ops.
-    fn enforce_rotation(
-        &self,
-        live: &Path,
-        rotated: impl Fn(usize) -> PathBuf,
-    ) -> io::Result<bool> {
-        let Some(retention) = self.retention else { return Ok(false) };
-        let meta = match fs::metadata(live) {
-            Ok(meta) => meta,
-            Err(_) => return Ok(false),
-        };
-        if meta.len() == 0 {
-            return Ok(false);
-        }
-        let oversized = meta.len() >= retention.max_bytes;
-        let overaged = retention.max_age.is_some_and(|max_age| {
-            meta.created()
-                .or_else(|_| meta.modified())
-                .ok()
-                .and_then(|born| born.elapsed().ok())
-                .is_some_and(|age| age >= max_age)
-        });
-        if !oversized && !overaged {
-            return Ok(false);
-        }
-        if retention.keep_rotations == 0 {
-            fs::remove_file(live)?;
-            return Ok(true);
-        }
-        // Shift sealed generations newest-last so no rename overwrites a
-        // file that has not moved yet; the generation falling off the end
-        // is deleted (best effort — it may never have existed).
-        let _ = fs::remove_file(rotated(retention.keep_rotations));
-        for generation in (1..retention.keep_rotations).rev() {
-            let from = rotated(generation);
-            if from.exists() {
-                fs::rename(&from, rotated(generation + 1))?;
-            }
-        }
-        fs::rename(live, rotated(1))?;
-        Ok(true)
-    }
-
     /// Appends completed trace spans (one JSONL line each, see
-    /// [`TraceEvent::to_jsonl`]) to the sink-wide `trace.jsonl`, then
-    /// applies the sink's retention policy to it (sealed generations are
-    /// `trace.1.jsonl`, …). The supervisor drains the server's
-    /// [`Tracer`](rbm_im_obs::Tracer) through this every tick. Returns
-    /// whether the append triggered a rotation.
+    /// [`TraceEvent::to_jsonl`]) to the sink-wide `trace.jsonl`. Once the
+    /// file reaches [`TRACE_ROTATE_BYTES`] it is renamed over
+    /// `trace.1.jsonl`, replacing the previous sealed log. The supervisor
+    /// drains the server's [`Tracer`](rbm_im_obs::Tracer) through this
+    /// every tick. Returns whether the append triggered a rotation.
     pub fn spill_trace(&self, events: &[TraceEvent]) -> io::Result<bool> {
         if events.is_empty() {
             return Ok(false);
@@ -409,8 +274,12 @@ impl SnapshotSink {
         for event in events {
             writeln!(file, "{}", event.to_jsonl())?;
         }
+        if file.metadata()?.len() < TRACE_ROTATE_BYTES {
+            return Ok(false);
+        }
         drop(file);
-        self.enforce_rotation(&live, |generation| self.rotated_trace_path(generation))
+        fs::rename(&live, self.dir.join("trace.1.jsonl"))?;
+        Ok(true)
     }
 
     /// The live trace log path (`<dir>/trace.jsonl`).
@@ -418,76 +287,8 @@ impl SnapshotSink {
         self.dir.join("trace.jsonl")
     }
 
-    fn rotated_trace_path(&self, generation: usize) -> PathBuf {
-        self.dir.join(format!("trace.{generation}.jsonl"))
-    }
-
-    /// Loads a stream's appended metric history (positions + snapshots),
-    /// oldest first: sealed rotation generations from oldest to newest,
-    /// then the live file — so history order is exactly append order, with
-    /// or without rotation (and regardless of whether *this* sink has a
-    /// retention policy).
-    pub fn load_metrics(&self, stream: &str) -> io::Result<Vec<(u64, PrequentialSnapshot)>> {
-        let mut generations = Vec::new();
-        for generation in 1.. {
-            let path = self.rotated_metrics_path(stream, generation);
-            if !path.exists() {
-                break;
-            }
-            generations.push(path);
-        }
-        let mut history = Vec::new();
-        for path in generations.into_iter().rev() {
-            self.read_metrics_file(&path, &mut history)?;
-        }
-        let live = self.metrics_path(stream);
-        if live.exists() {
-            self.read_metrics_file(&live, &mut history)?;
-        }
-        Ok(history)
-    }
-
-    /// Parses one metrics JSONL file into `history` (append order).
-    fn read_metrics_file(
-        &self,
-        path: &Path,
-        history: &mut Vec<(u64, PrequentialSnapshot)>,
-    ) -> io::Result<()> {
-        for (lineno, line) in fs::read_to_string(path)?.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let value = serde_json::parse_value(line).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}:{}: {e}", path.display(), lineno + 1),
-                )
-            })?;
-            let read = || -> Result<(u64, PrequentialSnapshot), serde::Error> {
-                let position: u64 = value.field("position")?;
-                let snapshot = serde::Deserialize::deserialize_value(value.req("snapshot")?)?;
-                Ok((position, snapshot))
-            };
-            history.push(read().map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{}:{}: {e}", path.display(), lineno + 1),
-                )
-            })?);
-        }
-        Ok(())
-    }
-
     fn checkpoint_path(&self, stream: &str) -> PathBuf {
         self.dir.join(format!("{}.checkpoint.bin", sanitize(stream)))
-    }
-
-    fn metrics_path(&self, stream: &str) -> PathBuf {
-        self.dir.join(format!("{}.metrics.jsonl", sanitize(stream)))
-    }
-
-    fn rotated_metrics_path(&self, stream: &str, generation: usize) -> PathBuf {
-        self.dir.join(format!("{}.metrics.{generation}.jsonl", sanitize(stream)))
     }
 }
 

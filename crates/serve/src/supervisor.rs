@@ -11,11 +11,9 @@
 //! * **background checkpointing** — every attached stream is spilled on a
 //!   per-stream interval with a deterministic per-stream *jitter* phase
 //!   (derived from the stream id, so a thousand streams never spill in
-//!   one thundering herd), and — when
-//!   [`CheckpointPolicy::on_drift`] is set — *urgently* right after the
-//!   stream signals a drift, because post-drift state is exactly the
-//!   state worth preserving. Spills are RBMC binary checkpoints and land
-//!   atomically;
+//!   one thundering herd), and *urgently* right after the stream signals
+//!   a drift, because post-drift state is exactly the state worth
+//!   preserving. Spills are RBMC binary checkpoints and land atomically;
 //! * **tiered stream state** — with a [`TierPolicy`] configured, each tick
 //!   scans the fleet's residency tiers and **hibernates** hot streams that
 //!   are idle past the policy's age. Every eviction first spills a fresh
@@ -62,7 +60,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// When and how the supervisor spills background checkpoints.
+/// When the supervisor spills background checkpoints. A stream that
+/// signals a drift is also spilled at the next tick (the post-drift state
+/// is the state a warm restart most wants).
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointPolicy {
     /// Per-stream spill interval.
@@ -72,20 +72,18 @@ pub struct CheckpointPolicy {
     /// offset is derived from the stream id, so it is stable across
     /// restarts.
     pub jitter: f64,
-    /// Spill a stream immediately after it signals a drift (the
-    /// post-drift state is the state a warm restart most wants).
-    pub on_drift: bool,
 }
 
 impl Default for CheckpointPolicy {
     fn default() -> Self {
-        CheckpointPolicy { every: Duration::from_secs(30), jitter: 0.5, on_drift: true }
+        CheckpointPolicy { every: Duration::from_secs(30), jitter: 0.5 }
     }
 }
 
 /// Supervisor configuration: the control-loop cadence plus the two
-/// policies it enforces (either may be disabled independently). Build it
-/// from `..SupervisorConfig::default()` rather than naming every field.
+/// policies it enforces (checkpointing and tiering, each `None` to
+/// disable). Build it from `..SupervisorConfig::default()` rather than
+/// naming every field.
 #[derive(Debug)]
 pub struct SupervisorConfig {
     /// Control-loop cadence: how often schedules are checked and tiers
@@ -266,7 +264,7 @@ fn run(
                     schedule.remove(event.stream.as_ref());
                     cold_disk.remove(event.stream.as_ref());
                 }
-                ServeEventKind::Drift { .. } if config.checkpoint.is_some_and(|p| p.on_drift) => {
+                ServeEventKind::Drift { .. } => {
                     if let Some(entry) = schedule.get_mut(event.stream.as_ref()) {
                         entry.urgent = true;
                     }
@@ -376,12 +374,6 @@ fn run(
                             shard: server.shard_of(id),
                             kind: ServeEventKind::CheckpointSpilled { position, urgent },
                         });
-                        // Metric-history rotation rides the spill
-                        // schedule: right after a stream's spill, its
-                        // (sink-configured) retention policy is enforced.
-                        if let Err(e) = sink.enforce_metric_retention(id) {
-                            report.errors.push(format!("metric retention of `{id}`: {e}"));
-                        }
                     }
                     // The stream detached after this tick's event drain:
                     // not an error, the entry dies at its Detached event.
@@ -395,7 +387,7 @@ fn run(
 
         // Persist the slow-path spans accumulated this tick (spills above,
         // resize phases recorded by the server) to the sink's JSONL trace
-        // log, rotation included.
+        // log, which rotates at a fixed size.
         if !tracer.is_empty() {
             if let Err(e) = sink.spill_trace(&tracer.drain()) {
                 report.errors.push(format!("trace spill: {e}"));
@@ -480,8 +472,7 @@ mod tests {
 
     #[test]
     fn jitter_offsets_are_deterministic_and_bounded() {
-        let policy =
-            CheckpointPolicy { every: Duration::from_secs(10), jitter: 0.5, on_drift: false };
+        let policy = CheckpointPolicy { every: Duration::from_secs(10), jitter: 0.5 };
         let a1 = jitter_offset(&policy, "feed-a");
         let a2 = jitter_offset(&policy, "feed-a");
         let b = jitter_offset(&policy, "feed-b");

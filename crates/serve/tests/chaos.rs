@@ -667,10 +667,6 @@ fn enospc_fault_leaves_tmp_debris_swept_on_reopen() {
 /// sink directory holds no orphan files after the final sweep.
 #[test]
 fn supervisor_races_stay_bitwise_under_injected_faults() {
-    if std::env::var("RBM_HIBERNATE").is_ok() {
-        eprintln!("skipping: RBM_HIBERNATE forced mode pre-empts explicit tier transitions");
-        return;
-    }
     let feeds = fleet(6, 1_200);
     let run = run_config();
     let dir = scratch("super-race");
@@ -696,11 +692,7 @@ fn supervisor_races_stay_bitwise_under_injected_faults() {
         sink,
         SupervisorConfig {
             tick: Duration::from_millis(2),
-            checkpoint: Some(CheckpointPolicy {
-                every: Duration::from_millis(20),
-                jitter: 0.5,
-                on_drift: true,
-            }),
+            checkpoint: Some(CheckpointPolicy { every: Duration::from_millis(20), jitter: 0.5 }),
             tier: Some(TierPolicy {
                 idle_after: Some(Duration::ZERO),
                 max_hot_streams: None,

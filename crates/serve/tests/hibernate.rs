@@ -8,7 +8,7 @@
 //! **invisible in the results**. However often a stream bounces between
 //! hot and cold, its drift offsets and prequential metrics stay
 //! bitwise-identical to an always-hot fleet and to a sequential
-//! [`PipelineBuilder`] run. (`RBM_HIBERNATE=on` additionally forces every
+//! [`PipelineBuilder`] run. (`RBM_CHAOS=1` additionally forces every
 //! existing serving/resharding/supervisor test through the thrash path in
 //! CI.)
 
@@ -111,14 +111,15 @@ fn assert_results_match(context: &str, served: &RunResult, sequential: &RunResul
 }
 
 /// This suite drives tier transitions *explicitly* and pins their exact
-/// outcomes — under `RBM_HIBERNATE` forced mode (which hibernates after
-/// every message, so every stream is already cold at every assertion
-/// point) those pins are meaningless. Forced mode exists to thrash the
-/// serving/resharding/supervisor suites; skip here.
+/// outcomes — under the `RBM_CHAOS` environment fault plane (whose
+/// hibernate storms evict streams behind the suite's back; at rate 1
+/// every stream is already cold at every assertion point) those pins are
+/// meaningless. The env plane exists to thrash the serving/resharding/
+/// supervisor suites; skip here.
 fn skip_under_forced_hibernation() -> bool {
-    let forced = std::env::var("RBM_HIBERNATE").is_ok();
+    let forced = rbm_im_serve::chaos::env_plane().is_some();
     if forced {
-        eprintln!("skipping: RBM_HIBERNATE forced mode pre-empts explicit tier transitions");
+        eprintln!("skipping: the RBM_CHAOS fault plane pre-empts explicit tier transitions");
     }
     forced
 }
@@ -515,11 +516,7 @@ fn supervisor_budget_policy_bounds_the_hot_tier_bitwise() {
         SnapshotSink::new(&dir).unwrap(),
         SupervisorConfig {
             tick: Duration::from_millis(5),
-            checkpoint: Some(CheckpointPolicy {
-                every: Duration::from_millis(40),
-                jitter: 0.5,
-                on_drift: true,
-            }),
+            checkpoint: Some(CheckpointPolicy { every: Duration::from_millis(40), jitter: 0.5 }),
             tier: Some(TierPolicy::default().with_max_hot_streams(MAX_HOT)),
             ..SupervisorConfig::default()
         },
@@ -606,11 +603,7 @@ fn hibernation_racing_live_resizes_stays_bitwise_and_error_free() {
         SnapshotSink::new(&dir).unwrap(),
         SupervisorConfig {
             tick: Duration::from_millis(2),
-            checkpoint: Some(CheckpointPolicy {
-                every: Duration::from_millis(20),
-                jitter: 0.5,
-                on_drift: true,
-            }),
+            checkpoint: Some(CheckpointPolicy { every: Duration::from_millis(20), jitter: 0.5 }),
             tier: Some(TierPolicy {
                 idle_after: Some(Duration::ZERO),
                 max_hot_streams: None,
@@ -686,11 +679,7 @@ fn urgent_spill_same_tick_as_eviction_spills_the_cold_stream() {
             // the first window, so one fold sees the drift and the same
             // tick's tier pass evicts the (now idle) stream.
             tick: Duration::from_millis(400),
-            checkpoint: Some(CheckpointPolicy {
-                every: Duration::from_secs(3_600),
-                jitter: 0.0,
-                on_drift: true,
-            }),
+            checkpoint: Some(CheckpointPolicy { every: Duration::from_secs(3_600), jitter: 0.0 }),
             tier: Some(TierPolicy {
                 idle_after: Some(Duration::ZERO),
                 max_hot_streams: None,

@@ -272,7 +272,6 @@ fn checkpoint_spill_and_restore_resumes_bitwise() {
         run,
         ..Default::default()
     });
-    let events = server.subscribe();
     let mut cuts = HashMap::new();
     for feed in &feeds {
         let client = server.attach(&feed.id, feed.schema.clone(), &feed.spec).unwrap();
@@ -282,10 +281,6 @@ fn checkpoint_spill_and_restore_resumes_bitwise() {
         cuts.insert(feed.id.clone(), cut);
     }
     server.drain();
-    // Metric history rides along with the checkpoints.
-    for event in events.try_iter() {
-        sink.record_event(&event).unwrap();
-    }
     let checkpoints = server.checkpoint_all().unwrap();
     assert_eq!(checkpoints.len(), feeds.len());
     let paths = sink.spill_all(&checkpoints).unwrap();

@@ -1,5 +1,5 @@
-//! `SnapshotSink` durability contract: round trip, racing spills and
-//! error paths.
+//! `SnapshotSink` durability contract: round trip, racing spills, error
+//! paths and the trace log's size bound.
 //!
 //! Background spills are only worth having if a warm restart can trust
 //! them, so every failure mode must surface as a clean error naming the
@@ -294,120 +294,49 @@ fn future_codec_version_is_a_clean_error() {
     let _ = fs::remove_dir_all(dir);
 }
 
-// ---- metric-history rotation -----------------------------------------------
+// ---- trace log rotation ----------------------------------------------------
 
-use rbm_im_metrics::PrequentialSnapshot;
-use rbm_im_serve::MetricRetention;
+use rbm_im_obs::TraceEvent;
+use rbm_im_serve::sink::TRACE_ROTATE_BYTES;
 
-fn snapshot_at(position: u64) -> PrequentialSnapshot {
-    PrequentialSnapshot { position, pm_auc: 0.9, pm_gmean: 0.8, accuracy: 0.95, kappa: 0.7 }
-}
-
-/// Size-based rotation: the live file seals into numbered generations
-/// (newest = `.1`), generations beyond the keep count fall off, and
-/// `load_metrics` reads what is kept oldest-first — a contiguous suffix
-/// of the appended history, in append order.
+/// The trace log is bounded without any setting: driven through two
+/// rotations (more than twice the rotation size) in batches as large as
+/// the server's tracer ring holds, `trace.jsonl` rotates over one
+/// `trace.1.jsonl`, no second generation ever appears, and neither file
+/// outgrows the rotation size plus the batch that crossed it. A log that
+/// never rotates fails the size check, so the loop ends.
 #[test]
-fn size_rotation_keeps_a_bounded_ordered_suffix() {
-    let dir = scratch("rotate-size");
-    let sink = SnapshotSink::new(&dir).unwrap().with_retention(MetricRetention {
-        max_bytes: 1,
-        keep_rotations: 2,
-        max_age: None,
-    });
-
-    // max_bytes=1: every enforcement rotates, so each generation holds
-    // exactly one line.
+fn trace_log_rotates_over_one_sealed_file() {
+    const TRACER_CAPACITY: u64 = 4096;
+    let dir = scratch("trace-rotate");
+    let sink = SnapshotSink::new(&dir).unwrap();
+    let sealed = dir.join("trace.1.jsonl");
     let mut rotations = 0;
-    for position in 0..5u64 {
-        sink.spill_snapshot("feed", position, &snapshot_at(position)).unwrap();
-        if sink.enforce_metric_retention("feed").unwrap() {
+    let mut batch_no = 0u64;
+    while rotations < 2 {
+        let batch: Vec<TraceEvent> = (0..TRACER_CAPACITY)
+            .map(|i| TraceEvent {
+                span: "spill".to_string(),
+                detail: format!("feed-{:04}", i % 1000),
+                start_ns: batch_no * 1_000_000_000 + i * 1_000,
+                dur_ns: 20_000 + i,
+            })
+            .collect();
+        let batch_bytes: u64 = batch.iter().map(|e| e.to_jsonl().len() as u64 + 1).sum();
+        batch_no += 1;
+        if sink.spill_trace(&batch).unwrap() {
             rotations += 1;
         }
+        assert!(!dir.join("trace.2.jsonl").exists(), "a second sealed generation appeared");
+        for path in [sink.trace_path(), sealed.clone()] {
+            let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+            assert!(
+                len < TRACE_ROTATE_BYTES + batch_bytes,
+                "{} holds {len} bytes after batch {batch_no}",
+                path.display()
+            );
+        }
     }
-    assert_eq!(rotations, 5, "every spill exceeded max_bytes");
-    assert!(dir.join("feed.metrics.1.jsonl").exists(), "newest sealed generation");
-    assert!(dir.join("feed.metrics.2.jsonl").exists(), "oldest kept generation");
-    assert!(!dir.join("feed.metrics.3.jsonl").exists(), "beyond keep_rotations is dropped");
-    assert!(!dir.join("feed.metrics.jsonl").exists(), "live file was just sealed");
-
-    let history = sink.load_metrics("feed").unwrap();
-    let positions: Vec<u64> = history.iter().map(|(p, _)| *p).collect();
-    assert_eq!(positions, vec![3, 4], "kept generations, oldest first");
-    assert_eq!(history[1].1, snapshot_at(4), "snapshot payloads survive rotation");
-
-    // Appends continue into a fresh live file; load stays ordered.
-    sink.spill_snapshot("feed", 5, &snapshot_at(5)).unwrap();
-    let positions: Vec<u64> = sink.load_metrics("feed").unwrap().iter().map(|(p, _)| *p).collect();
-    assert_eq!(positions, vec![3, 4, 5]);
-    let _ = fs::remove_dir_all(dir);
-}
-
-/// `keep_rotations: 0` makes rotation a pure truncation.
-#[test]
-fn zero_keep_rotations_truncates_the_history() {
-    let dir = scratch("rotate-zero");
-    let sink = SnapshotSink::new(&dir).unwrap().with_retention(MetricRetention {
-        max_bytes: 1,
-        keep_rotations: 0,
-        max_age: None,
-    });
-    sink.spill_snapshot("feed", 1, &snapshot_at(1)).unwrap();
-    assert!(sink.enforce_metric_retention("feed").unwrap());
-    assert!(sink.load_metrics("feed").unwrap().is_empty());
-    assert!(
-        fs::read_dir(&dir).unwrap().next().is_none(),
-        "truncation leaves no metric files at all"
-    );
-    let _ = fs::remove_dir_all(dir);
-}
-
-/// Age-based rotation seals a live file regardless of its size.
-#[test]
-fn age_rotation_seals_small_but_old_files() {
-    let dir = scratch("rotate-age");
-    let sink = SnapshotSink::new(&dir).unwrap().with_retention(MetricRetention {
-        max_bytes: u64::MAX,
-        keep_rotations: 1,
-        max_age: Some(std::time::Duration::ZERO),
-    });
-    sink.spill_snapshot("feed", 7, &snapshot_at(7)).unwrap();
-    assert!(sink.enforce_metric_retention("feed").unwrap(), "age 0 rotates immediately");
-    assert!(dir.join("feed.metrics.1.jsonl").exists());
-    assert_eq!(
-        sink.load_metrics("feed").unwrap().iter().map(|(p, _)| *p).collect::<Vec<_>>(),
-        vec![7]
-    );
-    let _ = fs::remove_dir_all(dir);
-}
-
-/// Enforcement is a no-op without a policy, without a live file, and
-/// inside the size/age bounds; and a retention-less sink still reads the
-/// sealed generations a configured process left behind.
-#[test]
-fn retention_noops_and_cross_process_generation_reads() {
-    let dir = scratch("rotate-noop");
-    let plain = SnapshotSink::new(&dir).unwrap();
-    assert!(!plain.enforce_metric_retention("feed").unwrap(), "no policy, no rotation");
-
-    let sink = SnapshotSink::new(&dir).unwrap().with_retention(MetricRetention {
-        max_bytes: 10_000,
-        keep_rotations: 2,
-        max_age: None,
-    });
-    assert!(!sink.enforce_metric_retention("feed").unwrap(), "no live file, no rotation");
-    sink.spill_snapshot("feed", 1, &snapshot_at(1)).unwrap();
-    assert!(!sink.enforce_metric_retention("feed").unwrap(), "inside the bounds");
-
-    // Force a rotation, then read through a *retention-less* sink.
-    let tight = SnapshotSink::new(&dir).unwrap().with_retention(MetricRetention {
-        max_bytes: 1,
-        keep_rotations: 2,
-        max_age: None,
-    });
-    assert!(tight.enforce_metric_retention("feed").unwrap());
-    sink.spill_snapshot("feed", 2, &snapshot_at(2)).unwrap();
-    let positions: Vec<u64> = plain.load_metrics("feed").unwrap().iter().map(|(p, _)| *p).collect();
-    assert_eq!(positions, vec![1, 2], "generations are readable without a policy");
+    assert!(sealed.exists(), "the rotated trace is missing");
     let _ = fs::remove_dir_all(dir);
 }

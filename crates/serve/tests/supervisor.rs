@@ -145,11 +145,7 @@ fn supervised_run_is_bitwise_deterministic_within_policy_bounds() {
         SnapshotSink::new(&dir).unwrap(),
         SupervisorConfig {
             tick: Duration::from_millis(5),
-            checkpoint: Some(CheckpointPolicy {
-                every: Duration::from_millis(20),
-                jitter: 0.5,
-                on_drift: true,
-            }),
+            checkpoint: Some(CheckpointPolicy { every: Duration::from_millis(20), jitter: 0.5 }),
             ..SupervisorConfig::default()
         },
     );
@@ -243,7 +239,6 @@ fn cold_restart_from_latest_background_spill_is_bitwise_identical() {
                 checkpoint: Some(CheckpointPolicy {
                     every: Duration::from_millis(15),
                     jitter: 0.4,
-                    on_drift: true,
                 }),
                 ..SupervisorConfig::default()
             },
@@ -334,11 +329,7 @@ fn urgent_spills_and_detach_lifecycle() {
         SupervisorConfig {
             tick: Duration::from_millis(4),
             // Long interval: any spill soon after the drift is urgent-path.
-            checkpoint: Some(CheckpointPolicy {
-                every: Duration::from_secs(3_600),
-                jitter: 0.0,
-                on_drift: true,
-            }),
+            checkpoint: Some(CheckpointPolicy { every: Duration::from_secs(3_600), jitter: 0.0 }),
             ..SupervisorConfig::default()
         },
     );
@@ -401,11 +392,7 @@ fn resize_decisions_mid_spill_round_stay_bitwise_and_error_free() {
             tick: Duration::from_millis(2),
             // Everything is due every tick: each spill round runs fresh on
             // the heels of the latest resize.
-            checkpoint: Some(CheckpointPolicy {
-                every: Duration::ZERO,
-                jitter: 0.0,
-                on_drift: true,
-            }),
+            checkpoint: Some(CheckpointPolicy { every: Duration::ZERO, jitter: 0.0 }),
             ..SupervisorConfig::default()
         },
     );
@@ -467,11 +454,7 @@ fn urgent_spill_for_stream_detached_same_tick_leaves_no_orphan() {
             // A long tick: the whole attach→drift→detach lifecycle below
             // completes inside the first window, so one fold sees it all.
             tick: Duration::from_millis(400),
-            checkpoint: Some(CheckpointPolicy {
-                every: Duration::from_secs(3_600),
-                jitter: 0.0,
-                on_drift: true,
-            }),
+            checkpoint: Some(CheckpointPolicy { every: Duration::from_secs(3_600), jitter: 0.0 }),
             ..SupervisorConfig::default()
         },
     );
@@ -523,11 +506,7 @@ fn attach_detach_churn_under_eager_spills_leaves_no_tmp_orphans() {
         SnapshotSink::new(&dir).unwrap(),
         SupervisorConfig {
             tick: Duration::from_millis(1),
-            checkpoint: Some(CheckpointPolicy {
-                every: Duration::ZERO,
-                jitter: 0.0,
-                on_drift: true,
-            }),
+            checkpoint: Some(CheckpointPolicy { every: Duration::ZERO, jitter: 0.0 }),
             ..SupervisorConfig::default()
         },
     );

@@ -187,11 +187,7 @@ fn start_supervisor(
             .with_io(Arc::new(ChaosSpillIo::new(Arc::clone(plane)))),
         SupervisorConfig {
             tick: Duration::from_millis(5),
-            checkpoint: Some(CheckpointPolicy {
-                every: Duration::from_millis(50),
-                jitter: 0.5,
-                on_drift: true,
-            }),
+            checkpoint: Some(CheckpointPolicy { every: Duration::from_millis(50), jitter: 0.5 }),
             // The supervisor never resizes, so `shard_of` stays stable
             // across the kill-shard victim selection and per-shard
             // recovery below.

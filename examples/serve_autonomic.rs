@@ -57,11 +57,7 @@ fn ingest_all(client: &StreamClient, mut batch: Vec<Instance>) {
 fn supervisor_config() -> SupervisorConfig {
     SupervisorConfig {
         tick: Duration::from_millis(10),
-        checkpoint: Some(CheckpointPolicy {
-            every: Duration::from_millis(50),
-            jitter: 0.5,
-            on_drift: true,
-        }),
+        checkpoint: Some(CheckpointPolicy { every: Duration::from_millis(50), jitter: 0.5 }),
         ..SupervisorConfig::default()
     }
 }
