@@ -324,15 +324,10 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     loop {
         let flow = match wire::read_frame(&mut reader) {
             Ok(frame) => {
-                // Per-frame-type request latency, gated so the hot path
-                // pays nothing when observability is off. `Subscribe`
-                // deliberately measures the whole pump: its "latency" is
-                // the lifetime of the subscription.
-                let timer = if rbm_im_obs::enabled() {
-                    shared.obs.latency(&frame).map(|h| (Arc::clone(h), Instant::now()))
-                } else {
-                    None
-                };
+                // Per-frame-type request latency. `Subscribe` deliberately
+                // measures the whole pump: its "latency" is the lifetime of
+                // the subscription.
+                let timer = shared.obs.latency(&frame).map(|h| (Arc::clone(h), Instant::now()));
                 let outcome = handle_frame(
                     frame,
                     &shared,

@@ -384,9 +384,9 @@ fn schema_violating_instances_are_counted_never_a_worker_panic() {
 }
 
 /// A TCP client can fetch a `Metrics` snapshot and a `HealthSnapshot`
-/// mid-run: structural counters (enqueued/processed instances) are always
-/// recorded, so the snapshot is non-trivial even without `RBM_OBS=on`, and
-/// the breakdown counters surface wire drops per category.
+/// mid-run: structural counters (enqueued/processed instances) make the
+/// snapshot non-trivial, and the breakdown counters surface wire drops per
+/// category.
 #[test]
 fn metrics_and_health_are_queryable_mid_run() {
     let server = NetServer::bind("127.0.0.1:0", small_config()).expect("bind");

@@ -23,16 +23,17 @@
 //! and record **integer nanoseconds**; exposition divides by 1e9. Counter
 //! families end in `_total`.
 //!
-//! # Gating and determinism
+//! # Always on, never perturbing
 //!
-//! Timing instrumentation (the clock reads around hot-path operations) is
-//! gated by [`enabled`] — off by default, switched on with `RBM_OBS=on`
-//! or programmatically via [`force_enabled`]. Structural counters
-//! (frames dropped, queue gauges) are always live: they back reports and
-//! health checks. Observability never perturbs results: instruments
-//! only read clocks and bump atomics, and never branch on what they
-//! measure — the determinism suites run bitwise-identical with `RBM_OBS`
-//! on and off, which CI enforces.
+//! Telemetry has no process-wide switch: the timing around hot-path
+//! operations (one clock pair per ingest message or request frame) and
+//! the structural counters behind reports and health checks are always
+//! recorded, so every benchmark figure includes their cost. The one
+//! opt-in is the CD-k kernel timing, armed per detector by the spec
+//! parameter `rbm(timing=on)`. Observability never perturbs results:
+//! instruments only read clocks and bump atomics, and never branch on
+//! what they measure — the determinism suites run bitwise-identical with
+//! telemetry recording.
 
 mod expose;
 mod histogram;
@@ -44,38 +45,7 @@ pub use histogram::{bucket_index, bucket_upper_bound, Histogram, HistogramSnapsh
 pub use registry::{Counter, Gauge, MetricId, MetricsRegistry, MetricsSnapshot};
 pub use trace::{SpanTimer, TraceEvent, Tracer};
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Tri-state: 0 = uninitialised (read `RBM_OBS` on first query), 1 = off,
-/// 2 = on.
-static OBS_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether timing instrumentation is enabled. First call reads the
-/// `RBM_OBS` environment variable (`1` / `on` / `true` / `yes` enable);
-/// [`force_enabled`] overrides at any time. Cheap enough to query on hot
-/// paths (one relaxed atomic load after initialisation).
-#[inline]
-pub fn enabled() -> bool {
-    match OBS_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = std::env::var("RBM_OBS")
-                .map(|v| matches!(v.as_str(), "1" | "on" | "true" | "yes"))
-                .unwrap_or(false);
-            OBS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Programmatically switches timing instrumentation on or off,
-/// overriding `RBM_OBS`. Used by examples (always-on demo telemetry) and
-/// tests.
-pub fn force_enabled(on: bool) {
-    OBS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
 
 /// The process-global registry, for call sites with no server context
 /// (the CD-k kernels in `rbm_im::linalg`). Server-scoped metrics live in
@@ -89,14 +59,6 @@ pub fn global() -> &'static Arc<MetricsRegistry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn force_enabled_overrides_env_state() {
-        force_enabled(true);
-        assert!(enabled());
-        force_enabled(false);
-        assert!(!enabled());
-    }
 
     #[test]
     fn global_registry_is_shared() {

@@ -132,11 +132,10 @@ fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
-/// Instrument stores are hash maps, not vecs: a serving fleet registers
-/// one `rbm_serve_stream_step_seconds{stream}` histogram per attached
-/// stream, so registration and handle re-lookup must stay O(1) at 100k+
-/// streams (a linear scan here made fleet attach quadratic). Snapshots
-/// sort by id, so iteration order never leaks out.
+/// Instrument stores are hash maps, so registration and handle re-lookup
+/// (the shards re-resolve `rbm_serve_rehydrations_total{trigger}` on
+/// every rehydrate) stay O(1) however many families a process holds.
+/// Snapshots sort by id, so iteration order never leaks out.
 struct Inner {
     counters: HashMap<MetricId, Arc<Counter>>,
     gauges: HashMap<MetricId, Arc<Gauge>>,

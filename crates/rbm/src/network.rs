@@ -74,9 +74,9 @@ pub struct RbmNetworkConfig {
     /// metrics registry ([`rbm_im_obs::global`]) as
     /// `rbm_kernel_seconds{kernel}`, with `kernel` one of `gemm`, `gemm2`,
     /// `sigmoid`, `softmax`, `cdk_weight_grad`, `cdk_bias_grad`.
-    /// Additionally gated on [`rbm_im_obs::enabled`]. Pure observation —
-    /// never changes results — but it pays two clock reads and a histogram
-    /// update per kernel call, so it stays off by default.
+    /// Pure observation — never changes results — but it pays two clock
+    /// reads and a histogram update per kernel call, so it stays off by
+    /// default; the spec parameter `rbm(timing=on)` arms it.
     pub kernel_timing: bool,
 }
 
@@ -964,12 +964,12 @@ fn kernel_histograms() -> &'static [Arc<Histogram>; 6] {
     })
 }
 
-/// Runs one CD-k kernel call. When `timing` is on and observability is
-/// enabled, records the call's wall-clock duration into
-/// `rbm_kernel_seconds{kernel}`; otherwise it is just the call.
+/// Runs one CD-k kernel call. When `timing` is on, records the call's
+/// wall-clock duration into `rbm_kernel_seconds{kernel}`; otherwise it is
+/// just the call.
 #[inline]
 fn timed(timing: bool, kernel: Kernel, run: impl FnOnce()) {
-    if !(timing && rbm_im_obs::enabled()) {
+    if !timing {
         return run();
     }
     let start = Instant::now();
@@ -1291,10 +1291,10 @@ mod tests {
         assert!(wrong.restore_state(&serde_json::parse_value(&json).unwrap()).is_err());
     }
 
-    /// Serializes the tests that switch the process-global obs flag: the
-    /// kernel-timing test counts exact histogram observations, so no other
-    /// timed kernel may run while it measures.
-    static OBS_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// Serializes the tests that run timed kernels: the kernel-timing test
+    /// counts exact observations in the process-global registry, so no
+    /// other timed kernel may run while it measures.
+    static KERNEL_TIMING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
@@ -1307,8 +1307,7 @@ mod tests {
     /// branch run), carry invalid labels, and run with kernel timing on.
     #[test]
     fn score_and_train_matches_scoring_then_training() {
-        let _flag = OBS_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-        rbm_im_obs::force_enabled(true);
+        let _timing = KERNEL_TIMING.lock().unwrap_or_else(|e| e.into_inner());
         for gibbs_steps in [1, 2] {
             let config =
                 RbmNetworkConfig { gibbs_steps, kernel_timing: true, ..Default::default() };
@@ -1366,12 +1365,11 @@ mod tests {
             }
             assert!(moved > 0 && kept_ranges > 0, "moved {moved}, kept {kept_ranges}");
         }
-        rbm_im_obs::force_enabled(false);
     }
 
     #[test]
     fn kernel_timing_records_without_perturbing_results() {
-        let _flag = OBS_FLAG.lock().unwrap_or_else(|e| e.into_inner());
+        let _timing = KERNEL_TIMING.lock().unwrap_or_else(|e| e.into_inner());
         let mut stream = GaussianMixtureGenerator::balanced(7, 3, 1, 13);
         let batches: Vec<_> = (0..4).map(|_| flatten(&stream.take_instances(40))).collect();
         let mut plain = RbmNetwork::new(7, 3, RbmNetworkConfig::default());
@@ -1383,7 +1381,6 @@ mod tests {
         let mut ws = Workspace::default();
         let (mut plain_errors, mut timed_errors) = (Vec::new(), Vec::new());
 
-        rbm_im_obs::force_enabled(true);
         let count =
             || rbm_im_obs::global().snapshot().merged_histogram("rbm_kernel_seconds").count();
         let before = count();
@@ -1392,7 +1389,6 @@ mod tests {
             timed.train_flat(features, classes);
         }
         let after = count();
-        rbm_im_obs::force_enabled(false);
 
         for (features, classes) in &batches {
             plain.reconstruction_errors_flat_with(&mut ws, features, classes, &mut plain_errors);

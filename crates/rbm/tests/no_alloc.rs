@@ -145,12 +145,9 @@ fn measure_steady_state(config: RbmNetworkConfig, label: &str) {
 fn steady_state_training_does_not_allocate() {
     measure_steady_state(RbmNetworkConfig { gibbs_steps: 2, ..Default::default() }, "untimed");
 
-    // Kernel timing records into the global registry on every kernel call;
-    // observability must be on for the timers to arm at all.
-    rbm_im_obs::force_enabled(true);
+    // Kernel timing records into the global registry on every kernel call.
     measure_steady_state(
         RbmNetworkConfig { gibbs_steps: 2, kernel_timing: true, ..Default::default() },
         "kernel-timing",
     );
-    rbm_im_obs::force_enabled(false);
 }

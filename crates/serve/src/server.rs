@@ -136,7 +136,8 @@ pub struct StreamSummary {
 
 /// A served stream's self-contained checkpoint: the stream id plus the
 /// harness [`PipelineCheckpoint`] (schema, effective detector spec, run
-/// config, complete pipeline state). Serializes to plain JSON — the unit
+/// config, complete pipeline state). Encodes to an RBMC binary checkpoint
+/// ([`rbm_im_harness::checkpoint::codec`]) — the unit
 /// [`SnapshotSink`](crate::sink::SnapshotSink) spills to disk and
 /// [`ServerHandle::restore_stream`] resumes from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -312,13 +313,12 @@ pub struct HealthSnapshot {
     /// tier — see `ARCHITECTURE.md` §9).
     pub cold_streams: usize,
     /// Median per-message ingest latency in seconds, merged across shards
-    /// (0 when timing instrumentation is off or nothing was recorded).
+    /// (0 until a shard has processed an ingest message).
     pub ingest_p50_seconds: f64,
     /// 99th-percentile per-message ingest latency in seconds.
     pub ingest_p99_seconds: f64,
     /// 99th-percentile rehydration latency in seconds (cold → hot state
-    /// rebuilds; 0 until a stream has rehydrated). Always recorded —
-    /// rehydrates are cold-path transitions, not gated on `RBM_OBS`.
+    /// rebuilds; 0 until a stream has rehydrated).
     pub rehydrate_p99_seconds: f64,
     /// Seconds since the last checkpoint spill acknowledged via the
     /// supervisor, or `-1` when no spill has happened yet.
@@ -822,8 +822,8 @@ impl ServerHandle {
     }
 
     /// Captures a non-destructive checkpoint of one attached stream: the
-    /// stream keeps serving, and the returned [`StreamCheckpoint`] (JSON-
-    /// serializable) resumes it — after a restart, or on another server —
+    /// stream keeps serving, and the returned [`StreamCheckpoint`] (RBMC-
+    /// encodable) resumes it — after a restart, or on another server —
     /// bitwise-identically via [`ServerHandle::restore_stream`]. The
     /// checkpoint reflects every instance ingested before this call that
     /// has been processed; call [`ServerHandle::drain`] first for an
@@ -1072,9 +1072,8 @@ impl ServerHandle {
         }
         moving.sort_by(|a, b| a.0.cmp(&b.0));
 
-        // Resize phases are cold-path control operations, so their timings
-        // are always recorded (no RBM_OBS gate): one histogram sample per
-        // phase plus a trace span covering the same interval.
+        // Resize phases record one histogram sample per phase plus a trace
+        // span covering the same interval.
         let record_phase = |phase: &str, started: Instant| {
             let dur_ns = started.elapsed().as_nanos() as u64;
             self.inner

@@ -378,18 +378,11 @@ struct StreamState {
     /// be checkpointed and migrated (the stepper keeps its run config).
     schema: StreamSchema,
     spec: DetectorSpec,
-    /// Per-stream step-timing histogram
-    /// (`rbm_serve_stream_step_seconds{stream}`), bound at attach/restore
-    /// so the hot path records through the handle without any lookup.
-    /// Timing is at ingest-message granularity (one clock pair per
-    /// micro-batch, see [`ShardWorker::ingest`]) and only taken while
-    /// [`rbm_im_obs::enabled`] is on.
-    step_latency: Arc<Histogram>,
     /// When this stream last processed ingest, or was admitted: the
     /// least-recently-active order in which the hot-tier cap evicts
     /// ([`ShardWorker::admit`]) and the idle age of the supervisor's
-    /// idle-age trigger. Always maintained — one monotonic clock read per
-    /// ingest message, never influencing results.
+    /// idle-age trigger. Its clock read also ends the message's ingest
+    /// timing, and it never influences results.
     last_active: Instant,
 }
 
@@ -420,8 +413,8 @@ pub(crate) struct ShardWorker {
     parked: HashMap<Arc<str>, Vec<Instance>>,
     /// Instances ingested for ids with no attached pipeline (dropped).
     dropped_unknown: u64,
-    /// The server's metrics registry (per-stream histograms register here
-    /// at attach/restore).
+    /// The server's metrics registry (labelled rehydration counters
+    /// register here on first use).
     metrics: Arc<MetricsRegistry>,
     /// This shard's ingest latency histogram
     /// (`rbm_serve_ingest_latency_seconds{shard}`).
@@ -433,9 +426,7 @@ pub(crate) struct ShardWorker {
     /// shared by every worker of the server; see [`ShardWorker::admit`].
     hot_cap: Arc<AtomicUsize>,
     /// Rehydration latency (`rbm_serve_rehydrate_seconds`, fleet-wide),
-    /// any eviction the hot-tier cap forced included. Rehydrates are
-    /// cold-path control transitions, so — like resize phases — they are
-    /// always recorded, independent of `RBM_OBS`.
+    /// any eviction the hot-tier cap forced included.
     rehydrate_latency: Arc<Histogram>,
     /// `rbm_serve_hibernations_total{kind=clean|dirty}`.
     hibernations_clean: Arc<Counter>,
@@ -445,13 +436,6 @@ pub(crate) struct ShardWorker {
     /// Instances rejected against their stream's schema
     /// (`rbm_serve_invalid_instances_total{shard}`), see [`fits`].
     invalid_instances: Arc<Counter>,
-    /// Shared unregistered histogram handed to every stream while
-    /// `RBM_OBS` is off. Per-stream step histograms are ~2 KB of buckets
-    /// each and registration takes the registry mutex — at 100k+ streams
-    /// that is hundreds of MB and a lock per attach/rehydrate for a
-    /// metric nobody records (step timing itself is obs-gated). With obs
-    /// off, every stream shares this one never-exported sink instead.
-    step_sink: Arc<Histogram>,
     /// The fault-injection plane, when the server runs under chaos
     /// (`ARCHITECTURE.md` §10): consulted once per ingest message for the
     /// kill-shard and forced-hibernate sites. `None` costs nothing.
@@ -501,21 +485,8 @@ impl ShardWorker {
             hibernations_dirty,
             rehydrate_failures,
             invalid_instances,
-            step_sink: Arc::new(Histogram::new()),
             faults,
             messages_seen: 0,
-        }
-    }
-
-    /// The per-stream step-timing histogram handle for `id`. Registered
-    /// (and thus exported) only while `RBM_OBS` is on; otherwise the
-    /// shard's shared [`Self::step_sink`] stands in, keeping attach and
-    /// rehydrate free of per-stream registry work at fleet scale.
-    fn stream_step_histogram(&self, id: &str) -> Arc<Histogram> {
-        if rbm_im_obs::enabled() {
-            self.metrics.histogram("rbm_serve_stream_step_seconds", &[("stream", id)])
-        } else {
-            Arc::clone(&self.step_sink)
         }
     }
 
@@ -534,16 +505,14 @@ impl ShardWorker {
                     // Counted after the step so `enqueued − processed`
                     // includes the message currently being worked on.
                     self.gauge.record_processed(instances);
-                    if rbm_im_obs::enabled() {
-                        // The backlog left *after* this message: monotone
-                        // counter difference, no cross-thread coordination.
-                        let depth = self
-                            .gauge
-                            .enqueued_messages
-                            .get()
-                            .saturating_sub(self.gauge.processed_messages.get());
-                        self.queue_depth.record(depth);
-                    }
+                    // The backlog left *after* this message: monotone
+                    // counter difference, no cross-thread coordination.
+                    let depth = self
+                        .gauge
+                        .enqueued_messages
+                        .get()
+                        .saturating_sub(self.gauge.processed_messages.get());
+                    self.queue_depth.record(depth);
                 }
                 ShardMsg::Detach { id, reply } => {
                     let result = self.finish_stream(&id, "detach");
@@ -725,14 +694,12 @@ impl ShardWorker {
                 self.gauge.shift_tiers(1, 0, 0);
             }
         }
-        let step_latency = self.stream_step_histogram(id);
         self.streams.insert(
             Arc::clone(id),
             StreamSlot::Hot(Box::new(StreamState {
                 stepper,
                 schema,
                 spec,
-                step_latency,
                 last_active: Instant::now(),
             })),
         );
@@ -783,11 +750,10 @@ impl ShardWorker {
             });
         };
         // One clock pair per ingest message (not per instance) keeps the
-        // metrics-on overhead bounded: client micro-batches amortize the
-        // reads, and the recording itself is two wait-free `fetch_add`s.
-        // Timing never influences stepping, so results are bitwise
-        // identical with observability on or off.
-        let started = if rbm_im_obs::enabled() { Some(Instant::now()) } else { None };
+        // telemetry cost bounded: client micro-batches amortize the reads,
+        // and the closing read is the one that stamps `last_active`.
+        // Timing never influences stepping, so results do not depend on it.
+        let started = Instant::now();
         // Every instance reaching a stepper passes here, replays after a
         // restore or unpark included, so one check guards them all.
         let mut invalid = 0;
@@ -805,12 +771,9 @@ impl ShardWorker {
         if invalid > 0 {
             self.invalid_instances.add(invalid);
         }
-        state.last_active = Instant::now();
-        if let Some(started) = started {
-            let elapsed_ns = started.elapsed().as_nanos() as u64;
-            self.ingest_latency.record(elapsed_ns);
-            state.step_latency.record(elapsed_ns);
-        }
+        let finished = Instant::now();
+        state.last_active = finished;
+        self.ingest_latency.record(finished.duration_since(started).as_nanos() as u64);
         // The chaos plane's hibernate-storm site evicts the stream right
         // back to cold after this message at a seeded rate (`RBM_CHAOS=1`:
         // after every message, the worst-case thrash) — tiering is

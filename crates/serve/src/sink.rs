@@ -62,8 +62,7 @@ pub const TRACE_ROTATE_BYTES: u64 = 1 << 20;
 
 /// Checkpoint-spill timing instruments
 /// (`rbm_supervisor_spill_seconds{phase=encode|write}`), bound via
-/// [`SnapshotSink::with_metrics`]. Spills are cold-path, so their timings
-/// are recorded whenever instruments are bound, independent of `RBM_OBS`.
+/// [`SnapshotSink::with_metrics`]; recorded whenever instruments are bound.
 struct SpillObs {
     encode: Arc<Histogram>,
     write: Arc<Histogram>,

@@ -188,8 +188,7 @@ fn manual_hibernate_cold_checkpoint_and_detach_lifecycle() {
     }
 
     // Tier accounting: scan rows, health counts, and the fleet gauges all
-    // agree (`rbm_serve_streams{tier=…}` is satellite telemetry — not
-    // gated on RBM_OBS, tier transitions are cold-path).
+    // agree (`rbm_serve_streams{tier=…}` is satellite telemetry).
     let scan = server.tier_scan();
     assert_eq!(scan.len(), 2, "every attached stream has a tier row");
     let cold_row = scan.iter().find(|e| e.id.as_ref() == cold_id).unwrap();

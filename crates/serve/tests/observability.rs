@@ -1,8 +1,9 @@
-//! The serving plane's observability surface end-to-end: with
-//! instrumentation force-enabled, ingest fills per-shard latency
-//! histograms, [`ServerHandle::health`] summarizes them, a live resize
-//! records its phase durations, and a plain HTTP scrape of [`ObsServer`]
-//! returns Prometheus-text exposition carrying the per-shard quantiles.
+//! The serving plane's observability surface end-to-end: telemetry is
+//! always on, so ingest fills per-shard latency histograms,
+//! [`ServerHandle::health`] summarizes them, a live resize records its
+//! phase durations, and a plain HTTP scrape of [`ObsServer`] returns
+//! Prometheus-text exposition carrying the per-shard quantiles. The
+//! number of exported series does not grow with the number of streams.
 
 use rbm_im_harness::registry::DetectorSpec;
 use rbm_im_obs::{scrape_text, ObsServer};
@@ -14,7 +15,6 @@ use std::time::Duration;
 
 #[test]
 fn scrape_exposes_per_shard_ingest_quantiles_and_health() {
-    rbm_im_obs::force_enabled(true);
     let server = ServerHandle::start(ServeConfig { num_shards: 2, ..Default::default() });
     let mut stream = rbm_im_streams::generators::GaussianMixtureGenerator::balanced(8, 3, 1, 7);
     let spec = DetectorSpec::parse("rbm(minibatch=25)").expect("spec");
@@ -61,8 +61,39 @@ fn scrape_exposes_per_shard_ingest_quantiles_and_health() {
     assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
     assert!(response.contains("rbm_serve_ingest_latency_seconds_bucket{shard=\"0\""), "{response}");
 
-    rbm_im_obs::force_enabled(false);
     let report = server.shutdown();
     assert_eq!(report.streams.len(), 1);
     assert_eq!(report.streams[0].result.instances, 300);
+}
+
+/// The number of series in the server's metrics snapshot after `streams`
+/// streams are attached across 2 shards, each fed 20 instances, and all
+/// detached again.
+fn series_after(streams: usize) -> usize {
+    let server = ServerHandle::start(ServeConfig { num_shards: 2, ..Default::default() });
+    let spec = DetectorSpec::parse("adwin").expect("spec");
+    for i in 0..streams {
+        let mut stream =
+            rbm_im_streams::generators::GaussianMixtureGenerator::balanced(4, 2, 1, i as u64);
+        let id = format!("feed-{i:03}");
+        let client = server.attach(&id, stream.schema().clone(), &spec).expect("attach");
+        client.ingest_batch(stream.take_instances(20)).expect("ingest");
+    }
+    server.drain();
+    for i in 0..streams {
+        server.detach(&format!("feed-{i:03}")).expect("detach");
+    }
+    let snapshot = server.metrics().snapshot();
+    let series = snapshot.counters.len() + snapshot.gauges.len() + snapshot.histograms.len();
+    let report = server.shutdown();
+    assert!(report.streams.is_empty(), "every stream was detached");
+    series
+}
+
+#[test]
+fn exported_series_do_not_grow_with_stream_count() {
+    let few = series_after(2);
+    let many = series_after(200);
+    assert!(few > 0);
+    assert_eq!(many, few, "200 streams export {many} series, 2 streams {few}");
 }

@@ -3,8 +3,8 @@
 //! The paper's artificial benchmarks (Table I, bottom half) are produced by
 //! four classical MOA generators — Agrawal, rotating Hyperplane, RandomRBF
 //! and RandomTree — each instantiated with 5, 10 and 20 classes. This module
-//! re-implements those generators natively, plus SEA, LED and a Gaussian
-//! mixture generator used by the real-world substitutes and the examples.
+//! re-implements those generators natively, plus a Gaussian mixture
+//! generator used by the real-world substitutes and the examples.
 //!
 //! All generators:
 //!
@@ -20,19 +20,15 @@
 
 mod agrawal;
 mod hyperplane;
-mod led;
 mod mixture;
 mod random_tree;
 mod rbf;
-mod sea;
 
 pub use agrawal::{AgrawalGenerator, NUM_AGRAWAL_FUNCTIONS};
 pub use hyperplane::HyperplaneGenerator;
-pub use led::LedGenerator;
 pub use mixture::{GaussianClass, GaussianMixtureGenerator};
 pub use random_tree::RandomTreeGenerator;
 pub use rbf::RandomRbfGenerator;
-pub use sea::SeaGenerator;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -66,7 +62,7 @@ pub(crate) fn gaussian_features(
 /// Calibrates `num_classes − 1` thresholds that split the empirical
 /// distribution of `scores` into bands of (approximately) equal mass.
 ///
-/// Used by score-based generators (Agrawal, Hyperplane, SEA) to turn a
+/// Used by score-based generators (Agrawal, Hyperplane) to turn a
 /// continuous concept score into a roughly balanced multi-class label.
 pub(crate) fn quantile_thresholds(scores: &mut [f64], num_classes: usize) -> Vec<f64> {
     assert!(num_classes >= 2);
@@ -161,10 +157,6 @@ mod tests {
         check_generator(Box::new(RandomRbfGenerator::new(20, 5, 3, 0.0, 42)), 0.5);
         check_generator(Box::new(RandomRbfGenerator::new(40, 10, 2, 0.001, 3)), 0.4);
         check_generator(Box::new(RandomTreeGenerator::new(20, 5, 4, 42)), 0.25);
-        // SEA's concept score (sum of two uniforms) is triangular, so the
-        // outer bands are naturally thinner — a looser balance tolerance.
-        check_generator(Box::new(SeaGenerator::new(3, 0.05, 42)), 0.15);
-        check_generator(Box::new(LedGenerator::new(0.1, 42)), 0.4);
         check_generator(Box::new(GaussianMixtureGenerator::balanced(8, 6, 2, 42)), 0.5);
     }
 }

@@ -6,9 +6,9 @@
 //! * an [`Instance`] / [`StreamSchema`]
 //!   model and the [`DataStream`] trait,
 //! * the synthetic generators used by the paper's artificial benchmarks
-//!   (Agrawal, rotating Hyperplane, RandomRBF, RandomTree) plus a few extra
-//!   classical generators (SEA, LED, Gaussian mixtures) used by the
-//!   real-world substitutes and the examples,
+//!   (Agrawal, rotating Hyperplane, RandomRBF, RandomTree) plus a
+//!   Gaussian mixture generator used by the real-world substitutes and the
+//!   examples,
 //! * concept-drift operators: sudden / gradual / incremental transitions
 //!   between concepts ([`drift`]), and **local** drift that affects only a
 //!   chosen subset of classes ([`drift::local`]),

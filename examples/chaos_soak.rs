@@ -231,9 +231,6 @@ fn today_utc() -> String {
 }
 
 fn main() {
-    // Ingest latency recording is obs-gated; the harness needs it for the
-    // p99 it writes out (timing never influences results).
-    rbm_im_obs::force_enabled(true);
     let start = Instant::now();
     let num_streams = stream_count();
     let total = instances_per_stream();

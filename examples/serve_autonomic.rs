@@ -75,9 +75,6 @@ fn quantile_ms(metrics: &MetricsRegistry, family: &str, q: f64) -> String {
 
 fn main() {
     let start = Instant::now();
-    // Turn the telemetry plane on for the demo (equivalent to RBM_OBS=on):
-    // results are untouched, but latency histograms fill in.
-    rbm_im_obs::force_enabled(true);
     let spill_dir = std::env::temp_dir().join(format!("rbm-autonomic-{}", std::process::id()));
     let feeds: Vec<_> = (0..FEEDS).map(record_feed).collect();
     let spec = DetectorSpec::parse("rbm(minibatch=25, warmup=4, persistence=1)").unwrap();

@@ -65,9 +65,8 @@ fn main() {
     let addr = server.local_addr();
     println!("wire front-end listening on {addr}");
 
-    // Telemetry on (same as RBM_OBS=on) + a Prometheus scrape endpoint over
-    // the fleet's registry, live for the whole run.
-    rbm_im_obs::force_enabled(true);
+    // A Prometheus scrape endpoint over the fleet's registry, live for the
+    // whole run.
     let obs = ObsServer::serve("127.0.0.1:0", vec![server.metrics()]).expect("scrape listener");
     println!("scrape endpoint live at http://{}/metrics\n", obs.local_addr());
 
