@@ -39,6 +39,7 @@ use rbm_im_classifiers::{CostSensitivePerceptronTree, OnlineClassifier};
 use rbm_im_detectors::DriftDetector;
 use rbm_im_metrics::PrequentialSnapshot;
 use rbm_im_streams::registry::{BenchmarkSpec, BuildConfig};
+use rbm_im_streams::source::derive_stream_seed;
 use rbm_im_streams::{DataStream, StreamSchema};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -376,7 +377,7 @@ impl GridStream {
     /// requirement of the Friedman ranking — while different benchmarks are
     /// decorrelated).
     pub fn from_benchmark(spec: BenchmarkSpec, build: BuildConfig) -> Self {
-        let cell_build = BuildConfig { seed: derive_seed(build.seed, &spec.name), ..build };
+        let cell_build = BuildConfig { seed: derive_stream_seed(build.seed, &spec.name), ..build };
         let name = spec.name.clone();
         GridStream::new(name, move || spec.build(&cell_build))
     }
@@ -391,15 +392,6 @@ impl fmt::Debug for GridStream {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GridStream").field("name", &self.name).finish()
     }
-}
-
-/// Deterministic seed mix of a base seed and a stream name. The canonical
-/// definition lives in the streams crate
-/// ([`rbm_im_streams::source::derive_stream_seed`], shared with the serving
-/// layer's per-stream seeding); this re-export keeps the grid's historic
-/// entry point.
-pub fn derive_seed(base: u64, name: &str) -> u64 {
-    rbm_im_streams::source::derive_stream_seed(base, name)
 }
 
 /// The grid's default worker count: every core the process may use.
@@ -719,12 +711,5 @@ mod tests {
         assert_eq!(results[0].detector, "FHDDM");
         assert_eq!(results[1].detector, "RBM-IM");
         assert_eq!(results[2].stream, "beta");
-    }
-
-    #[test]
-    fn derive_seed_is_stable_and_name_sensitive() {
-        assert_eq!(derive_seed(42, "RBF5"), derive_seed(42, "RBF5"));
-        assert_ne!(derive_seed(42, "RBF5"), derive_seed(42, "RBF10"));
-        assert_ne!(derive_seed(42, "RBF5"), derive_seed(43, "RBF5"));
     }
 }

@@ -1,6 +1,6 @@
 //! Golden digest of the Table III grid as `run_experiment1` produces it:
 //! the paper's six detectors over all 24 Table I benchmarks, through the
-//! parallel grid, per-benchmark seed derivation (`derive_seed`) and the
+//! parallel grid, per-benchmark seed derivation (`derive_stream_seed`) and the
 //! paper's per-instance detector protocol (`detector_batch: 1`).
 //!
 //! `golden_digest.rs` pins the sequential pipeline and bypasses all three;

@@ -252,8 +252,8 @@ impl fmt::Debug for NetClient {
 }
 
 /// Per-stream ingest handle over the wire — the [`StreamClient`]
-/// (rbm_im_serve) surface: blocking `ingest`/`ingest_batch`, fail-fast
-/// `try_ingest`/`try_ingest_batch` returning the rejected instances inside
+/// (rbm_im_serve) surface: blocking `ingest_batch` and fail-fast
+/// `try_ingest_batch` returning the rejected instances inside
 /// [`IngestError`].
 ///
 /// [`StreamClient`]: rbm_im_serve::StreamClient
@@ -290,14 +290,9 @@ impl NetStreamClient {
         }
     }
 
-    /// Non-blocking single-instance ingest; [`IngestError::Full`] carries
-    /// the rejected instance back on backpressure.
-    pub fn try_ingest(&self, instance: Instance) -> Result<(), IngestError> {
-        self.ingest_frame(false, vec![instance])
-    }
-
     /// Non-blocking micro-batch ingest (all-or-nothing, like the
-    /// in-process client).
+    /// in-process client); [`IngestError::Full`] carries the rejected
+    /// batch back on backpressure.
     pub fn try_ingest_batch(&self, instances: Vec<Instance>) -> Result<(), IngestError> {
         if instances.is_empty() {
             return Ok(());
@@ -305,12 +300,7 @@ impl NetStreamClient {
         self.ingest_frame(false, instances)
     }
 
-    /// Blocking single-instance ingest (waits at the shard's pace).
-    pub fn ingest(&self, instance: Instance) -> Result<(), IngestError> {
-        self.ingest_frame(true, vec![instance])
-    }
-
-    /// Blocking micro-batch ingest.
+    /// Blocking micro-batch ingest (waits at the shard's pace).
     pub fn ingest_batch(&self, instances: Vec<Instance>) -> Result<(), IngestError> {
         if instances.is_empty() {
             return Ok(());

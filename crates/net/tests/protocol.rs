@@ -493,7 +493,7 @@ fn busy_reply_carries_the_rejected_count() {
 
     // First instance: wait until the worker provably holds it inside the
     // detector, so the queue is empty again and counts are exact.
-    feed.try_ingest(instance(0)).expect("first instance");
+    feed.try_ingest_batch(vec![instance(0)]).expect("first instance");
     {
         let (lock, condvar) = &*gate;
         let mut state = lock.lock().unwrap();
@@ -503,7 +503,7 @@ fn busy_reply_carries_the_rejected_count() {
     }
     // Fill the queue exactly.
     for i in 0..capacity as u64 {
-        feed.try_ingest(instance(1 + i)).expect("fill the queue");
+        feed.try_ingest_batch(vec![instance(1 + i)]).expect("fill the queue");
     }
 
     // Raw-frame view: the server answers Busy with the rejected count.

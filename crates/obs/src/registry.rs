@@ -133,8 +133,8 @@ fn escape_label(v: &str) -> String {
 }
 
 /// Instrument stores are hash maps, so registration and handle re-lookup
-/// (the shards re-resolve `rbm_serve_rehydrations_total{trigger}` on
-/// every rehydrate) stay O(1) however many families a process holds.
+/// stay O(1) however many families a process holds. Hot paths bind their
+/// handles once and never look them up per event.
 /// Snapshots sort by id, so iteration order never leaks out.
 struct Inner {
     counters: HashMap<MetricId, Arc<Counter>>,

@@ -12,8 +12,8 @@ pub struct ServeConfig {
     /// shards share nothing and never lock.
     pub num_shards: usize,
     /// Bound of each shard's ingest channel, in messages (an ingest message
-    /// carries one instance or one client-side micro-batch). When a shard
-    /// falls behind, `try_ingest` fails fast with
+    /// carries one client-side micro-batch). When a shard falls behind,
+    /// `try_ingest_batch` fails fast with
     /// [`IngestError::Full`](crate::server::IngestError::Full) instead of
     /// queueing unboundedly — backpressure is explicit and the caller
     /// chooses between dropping, retrying and blocking.

@@ -14,11 +14,10 @@
 //!   evaluator. The worker thread also owns the one RBM training scratch
 //!   (`rbm_im::Workspace`) that all its RBM streams borrow in turn, so a
 //!   hot stream carries model state only;
-//! * ingest flows through **bounded MPSC channels**:
-//!   [`StreamClient::try_ingest`] fails
-//!   fast with [`IngestError::Full`] when a
-//!   shard falls behind (explicit backpressure), blocking `ingest` waits,
-//!   and client-side micro-batches amortize channel traffic; the pipeline's
+//! * ingest flows through **bounded MPSC channels**, one client-side
+//!   micro-batch per message: [`StreamClient::try_ingest_batch`] fails
+//!   fast with [`IngestError::Full`] when a shard falls behind (explicit
+//!   backpressure) and blocking `ingest_batch` waits; the pipeline's
 //!   `detector_batch` micro-batching keeps the RBM hot path on the batched
 //!   CD-k kernels;
 //! * drifts (with per-class attribution), warnings and periodic per-stream
@@ -84,17 +83,13 @@
 //! let spec = DetectorSpec::parse("rbm(minibatch=25)").unwrap();
 //! let client = server.attach("feed-00", stream.schema().clone(), &spec).unwrap();
 //!
-//! // Ingest with explicit backpressure.
-//! for instance in stream.take_instances(500) {
-//!     let mut pending = instance;
-//!     loop {
-//!         match client.try_ingest(pending) {
-//!             Ok(()) => break,
-//!             Err(e) => {
-//!                 pending = e.into_rejected().pop().unwrap();
-//!                 std::thread::yield_now();
-//!             }
-//!         }
+//! // Ingest 50-instance micro-batches with explicit backpressure.
+//! let instances = stream.take_instances(500);
+//! for batch in instances.chunks(50) {
+//!     let mut pending = batch.to_vec();
+//!     while let Err(e) = client.try_ingest_batch(pending) {
+//!         pending = e.into_rejected();
+//!         std::thread::yield_now();
 //!     }
 //! }
 //!

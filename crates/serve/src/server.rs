@@ -16,8 +16,8 @@ use crate::config::ServeConfig;
 use crate::event::{EventBus, ServeEvent};
 use crate::router::StreamRouter;
 use crate::shard::{
-    BundleState, MigrationBundle, Payload, RestoreKind, ShardGauge, ShardMsg, ShardReport,
-    ShardWorker, TierScanEntry,
+    BundleState, MigrationBundle, RestoreKind, ShardGauge, ShardMsg, ShardReport, ShardWorker,
+    TierScanEntry,
 };
 use rbm_im_harness::checkpoint::{CheckpointError, PipelineCheckpoint};
 use rbm_im_harness::pipeline::{PipelineError, RunConfig, RunResult};
@@ -438,7 +438,7 @@ impl ServerInner {
         let topology = self.topology.read().expect("topology lock poisoned");
         let shard = topology.router.shard_of(id);
         let instances = match &msg {
-            ShardMsg::Ingest { payload, .. } => Some(payload.len()),
+            ShardMsg::Ingest { instances, .. } => Some(instances.len() as u64),
             _ => None,
         };
         let link = &topology.shards[shard];
@@ -486,58 +486,34 @@ impl StreamClient {
         self.inner.topology.read().expect("topology lock poisoned").router.shard_of(&self.id)
     }
 
-    /// Non-blocking ingest of one instance. On a full queue the instance
-    /// comes back in [`IngestError::Full`]; the caller decides between
-    /// retrying, blocking ([`StreamClient::ingest`]) and shedding load.
-    pub fn try_ingest(&self, instance: Instance) -> Result<(), IngestError> {
-        match self.inner.try_send_routed(
-            &self.id,
-            ShardMsg::Ingest { id: Arc::clone(&self.id), payload: Payload::One(instance) },
-        ) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(msg)) => Err(IngestError::Full(reclaim(msg))),
-            Err(TrySendError::Disconnected(msg)) => Err(IngestError::Closed(reclaim(msg))),
-        }
-    }
-
     /// Non-blocking ingest of a client-side micro-batch (one channel
-    /// message however many instances), in per-stream arrival order.
+    /// message however many instances), in per-stream arrival order. On a
+    /// full queue the batch comes back in [`IngestError::Full`]; the caller
+    /// decides between retrying, blocking ([`StreamClient::ingest_batch`])
+    /// and shedding load.
     pub fn try_ingest_batch(&self, instances: Vec<Instance>) -> Result<(), IngestError> {
         if instances.is_empty() {
             return Ok(());
         }
-        match self.inner.try_send_routed(
-            &self.id,
-            ShardMsg::Ingest { id: Arc::clone(&self.id), payload: Payload::Many(instances) },
-        ) {
+        match self
+            .inner
+            .try_send_routed(&self.id, ShardMsg::Ingest { id: Arc::clone(&self.id), instances })
+        {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(msg)) => Err(IngestError::Full(reclaim(msg))),
             Err(TrySendError::Disconnected(msg)) => Err(IngestError::Closed(reclaim(msg))),
         }
     }
 
-    /// Blocking ingest: waits for queue space instead of failing fast (the
-    /// natural mode for replay pumps that should simply run at the shard's
-    /// pace).
-    pub fn ingest(&self, instance: Instance) -> Result<(), IngestError> {
-        self.inner
-            .send_routed(
-                &self.id,
-                ShardMsg::Ingest { id: Arc::clone(&self.id), payload: Payload::One(instance) },
-            )
-            .map_err(|msg| IngestError::Closed(reclaim(msg)))
-    }
-
-    /// Blocking micro-batch ingest.
+    /// Blocking micro-batch ingest: waits for queue space instead of
+    /// failing fast (the natural mode for replay pumps that should simply
+    /// run at the shard's pace).
     pub fn ingest_batch(&self, instances: Vec<Instance>) -> Result<(), IngestError> {
         if instances.is_empty() {
             return Ok(());
         }
         self.inner
-            .send_routed(
-                &self.id,
-                ShardMsg::Ingest { id: Arc::clone(&self.id), payload: Payload::Many(instances) },
-            )
+            .send_routed(&self.id, ShardMsg::Ingest { id: Arc::clone(&self.id), instances })
             .map_err(|msg| IngestError::Closed(reclaim(msg)))
     }
 }
@@ -551,7 +527,7 @@ impl fmt::Debug for StreamClient {
 /// Recovers the instances of a bounced ingest message.
 fn reclaim(msg: ShardMsg) -> Vec<Instance> {
     match msg {
-        ShardMsg::Ingest { payload, .. } => payload.into_instances(),
+        ShardMsg::Ingest { instances, .. } => instances,
         _ => Vec::new(),
     }
 }
@@ -561,7 +537,8 @@ fn reclaim(msg: ShardMsg) -> Vec<Instance> {
 /// Lifecycle: [`ServerHandle::start`] spawns the shard workers;
 /// [`ServerHandle::attach`] creates per-stream pipeline state (classifier +
 /// detector resolved from an arbitrary registry [`DetectorSpec`]);
-/// [`StreamClient::try_ingest`] feeds instances with explicit backpressure;
+/// [`StreamClient::try_ingest_batch`] feeds micro-batches with explicit
+/// backpressure;
 /// [`ServerHandle::subscribe`] taps the drift-event bus;
 /// [`ServerHandle::resize_shards`] grows or shrinks the fleet live,
 /// migrating only ring-reassigned streams; [`ServerHandle::checkpoint_all`]
@@ -800,12 +777,6 @@ impl ServerHandle {
     /// counts into [`ServeReport::dropped_unknown`]).
     pub fn client(&self, stream_id: &str) -> StreamClient {
         StreamClient { id: Arc::from(stream_id), inner: Arc::clone(&self.inner) }
-    }
-
-    /// Convenience single-instance ingest by id (interns the id per call;
-    /// hot loops should hold a [`StreamClient`]).
-    pub fn try_ingest(&self, stream_id: &str, instance: Instance) -> Result<(), IngestError> {
-        self.client(stream_id).try_ingest(instance)
     }
 
     /// Detaches a stream: its trailing micro-batch is flushed (events
@@ -1437,7 +1408,7 @@ fn spawn_worker(inner: &ServerInner, index: usize) -> (ShardLink, JoinHandle<Sha
         Arc::clone(&inner.registry),
         Arc::clone(&inner.bus),
         Arc::clone(&gauge),
-        Arc::clone(&inner.metrics),
+        &inner.metrics,
         Arc::clone(&inner.hot_cap),
         inner.faults.clone(),
     );

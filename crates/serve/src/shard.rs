@@ -162,34 +162,6 @@ impl ShardGauge {
     }
 }
 
-/// One or many instances carried by an ingest message. Client-side
-/// micro-batches (`try_ingest_batch`) amortize channel traffic; either way
-/// the pipeline's `detector_batch` micro-batching governs how observations
-/// reach the detector kernels.
-#[derive(Debug)]
-pub(crate) enum Payload {
-    /// A single instance.
-    One(Instance),
-    /// A client-side micro-batch, in per-stream arrival order.
-    Many(Vec<Instance>),
-}
-
-impl Payload {
-    pub(crate) fn into_instances(self) -> Vec<Instance> {
-        match self {
-            Payload::One(instance) => vec![instance],
-            Payload::Many(instances) => instances,
-        }
-    }
-
-    pub(crate) fn len(&self) -> u64 {
-        match self {
-            Payload::One(_) => 1,
-            Payload::Many(instances) => instances.len() as u64,
-        }
-    }
-}
-
 /// Where a cold stream's checkpoint bytes live.
 #[derive(Debug)]
 pub(crate) enum ColdHandle {
@@ -323,8 +295,11 @@ pub(crate) enum ShardMsg {
     },
     /// Close a stream's pipeline and report its final summary.
     Detach { id: Arc<str>, reply: Sender<Result<RunResult, ServeError>> },
-    /// Instances for one stream.
-    Ingest { id: Arc<str>, payload: Payload },
+    /// Instances for one stream, in per-stream arrival order. One message
+    /// carries a whole client-side micro-batch; the pipeline's
+    /// `detector_batch` micro-batching still governs how observations
+    /// reach the detector kernels.
+    Ingest { id: Arc<str>, instances: Vec<Instance> },
     /// Barrier: replied to once every earlier message is processed.
     Drain { reply: Sender<()> },
     /// Per-stream tier rows (hot/cold, idleness, resident bytes) of every
@@ -413,9 +388,6 @@ pub(crate) struct ShardWorker {
     parked: HashMap<Arc<str>, Vec<Instance>>,
     /// Instances ingested for ids with no attached pipeline (dropped).
     dropped_unknown: u64,
-    /// The server's metrics registry (labelled rehydration counters
-    /// register here on first use).
-    metrics: Arc<MetricsRegistry>,
     /// This shard's ingest latency histogram
     /// (`rbm_serve_ingest_latency_seconds{shard}`).
     ingest_latency: Arc<Histogram>,
@@ -428,6 +400,13 @@ pub(crate) struct ShardWorker {
     /// Rehydration latency (`rbm_serve_rehydrate_seconds`, fleet-wide),
     /// any eviction the hot-tier cap forced included.
     rehydrate_latency: Arc<Histogram>,
+    /// Rehydrations by trigger, bound once: a cold stream turned hot by
+    /// ingest or by a migration that carried instances, or resumed to
+    /// finish at detach or shutdown.
+    rehydrated_on_ingest: Arc<Counter>,
+    rehydrated_on_migrate: Arc<Counter>,
+    rehydrated_on_detach: Arc<Counter>,
+    rehydrated_on_shutdown: Arc<Counter>,
     /// `rbm_serve_hibernations_total{kind=clean|dirty}`.
     hibernations_clean: Arc<Counter>,
     hibernations_dirty: Arc<Counter>,
@@ -453,7 +432,7 @@ impl ShardWorker {
         registry: Arc<DetectorRegistry>,
         bus: Arc<EventBus>,
         gauge: Arc<ShardGauge>,
-        metrics: Arc<MetricsRegistry>,
+        metrics: &MetricsRegistry,
         hot_cap: Arc<AtomicUsize>,
         faults: Option<Arc<FaultPlane>>,
     ) -> Self {
@@ -462,6 +441,9 @@ impl ShardWorker {
         let ingest_latency = metrics.histogram("rbm_serve_ingest_latency_seconds", labels);
         let queue_depth = metrics.histogram("rbm_serve_queue_depth", labels);
         let rehydrate_latency = metrics.histogram("rbm_serve_rehydrate_seconds", &[]);
+        let rehydrations = |trigger: &str| {
+            metrics.counter("rbm_serve_rehydrations_total", &[("trigger", trigger)])
+        };
         let hibernations_clean =
             metrics.counter("rbm_serve_hibernations_total", &[("kind", "clean")]);
         let hibernations_dirty =
@@ -476,11 +458,14 @@ impl ShardWorker {
             streams: HashMap::new(),
             parked: HashMap::new(),
             dropped_unknown: 0,
-            metrics,
             ingest_latency,
             queue_depth,
             hot_cap,
             rehydrate_latency,
+            rehydrated_on_ingest: rehydrations("ingest"),
+            rehydrated_on_migrate: rehydrations("migrate"),
+            rehydrated_on_detach: rehydrations("detach"),
+            rehydrated_on_shutdown: rehydrations("shutdown"),
             hibernations_clean,
             hibernations_dirty,
             rehydrate_failures,
@@ -499,12 +484,12 @@ impl ShardWorker {
                     let result = self.attach(Arc::clone(&id), schema, spec, run);
                     let _ = reply.send(result);
                 }
-                ShardMsg::Ingest { id, payload } => {
-                    let instances = payload.len();
-                    self.ingest(&id, payload);
+                ShardMsg::Ingest { id, instances } => {
+                    let count = instances.len() as u64;
+                    self.ingest(&id, instances);
                     // Counted after the step so `enqueued − processed`
                     // includes the message currently being worked on.
-                    self.gauge.record_processed(instances);
+                    self.gauge.record_processed(count);
                     // The backlog left *after* this message: monotone
                     // counter difference, no cross-thread coordination.
                     let depth = self
@@ -515,7 +500,7 @@ impl ShardWorker {
                     self.queue_depth.record(depth);
                 }
                 ShardMsg::Detach { id, reply } => {
-                    let result = self.finish_stream(&id, "detach");
+                    let result = self.finish_stream(&id, Arc::clone(&self.rehydrated_on_detach));
                     let _ = reply.send(result);
                 }
                 ShardMsg::Drain { reply } => {
@@ -603,7 +588,7 @@ impl ShardWorker {
         ids.sort();
         let mut summaries = Vec::with_capacity(ids.len());
         for id in ids {
-            match self.finish_stream(&id, "shutdown") {
+            match self.finish_stream(&id, Arc::clone(&self.rehydrated_on_shutdown)) {
                 Ok(result) => summaries.push(StreamSummary {
                     stream: id.to_string(),
                     shard: self.index,
@@ -705,7 +690,7 @@ impl ShardWorker {
         );
     }
 
-    fn ingest(&mut self, id: &Arc<str>, payload: Payload) {
+    fn ingest(&mut self, id: &Arc<str>, instances: Vec<Instance>) {
         self.messages_seen += 1;
         // Kill-shard fault site: a seeded panic mid-ingest, unwinding the
         // whole worker (its streams and queue die with it — that is the
@@ -722,22 +707,22 @@ impl ShardWorker {
         // migration (or expected to arrive); nothing is lost, nothing is
         // reordered.
         if let Some(buffer) = self.parked.get_mut(id) {
-            buffer.extend(payload.into_instances());
+            buffer.extend(instances);
             return;
         }
         // A cold slot transparently rehydrates before stepping: the
-        // triggering payload waits right here on the worker thread, so
+        // triggering instances wait right here on the worker thread, so
         // per-stream order is untouched.
         if self.rehydrate(id).is_err() {
-            // Unreadable cold checkpoint: dropping the payload (counted)
+            // Unreadable cold checkpoint: dropping the instances (counted)
             // beats panicking the whole shard. The slot stays cold, so a
             // later detach/shutdown surfaces the same failure.
             self.rehydrate_failures.inc();
-            self.dropped_unknown += payload.len();
+            self.dropped_unknown += instances.len() as u64;
             return;
         }
         let Some(StreamSlot::Hot(state)) = self.streams.get_mut(id) else {
-            self.dropped_unknown += payload.len();
+            self.dropped_unknown += instances.len() as u64;
             return;
         };
         let bus = &self.bus;
@@ -757,16 +742,12 @@ impl ShardWorker {
         // Every instance reaching a stepper passes here, replays after a
         // restore or unpark included, so one check guards them all.
         let mut invalid = 0;
-        let mut step = |instance: Instance| {
+        for instance in instances {
             if fits(&state.schema, &instance) {
                 state.stepper.step(instance, &mut on_event);
             } else {
                 invalid += 1;
             }
-        };
-        match payload {
-            Payload::One(instance) => step(instance),
-            Payload::Many(instances) => instances.into_iter().for_each(step),
         }
         if invalid > 0 {
             self.invalid_instances.add(invalid);
@@ -860,16 +841,16 @@ impl ShardWorker {
             self.gauge.shift_tiers(0, -1, -(cold.handle.resident_bytes() as i64));
         }
         self.admit(id, stepper, checkpoint.schema, checkpoint.spec);
-        self.note_rehydrated(id, position, started, "ingest");
+        self.note_rehydrated(id, position, started, &self.rehydrated_on_ingest);
         Ok(())
     }
 
     /// Rehydration telemetry + bus event (shared with the migration-replay
-    /// path): latency histogram (always recorded — cold path), trigger-
-    /// labelled counter, `Rehydrated` event.
-    fn note_rehydrated(&self, id: &Arc<str>, position: u64, started: Instant, trigger: &str) {
+    /// path): latency histogram (always recorded — cold path), the
+    /// trigger's counter, `Rehydrated` event.
+    fn note_rehydrated(&self, id: &Arc<str>, position: u64, started: Instant, trigger: &Counter) {
         self.rehydrate_latency.record(started.elapsed().as_nanos() as u64);
-        self.metrics.counter("rbm_serve_rehydrations_total", &[("trigger", trigger)]).inc();
+        trigger.inc();
         self.bus.publish(ServeEvent {
             stream: Arc::clone(id),
             shard: self.index,
@@ -915,14 +896,14 @@ impl ShardWorker {
     }
 
     /// Closes a park entry. Still-attached stream (migration abort):
-    /// replay the buffer through the stepper in place and return nothing.
-    /// Gone stream (migration completed): return the stragglers for replay
-    /// on the target.
+    /// replay the buffer through the stepper in place, as one ingest pass,
+    /// and return nothing. Gone stream (migration completed): return the
+    /// stragglers for replay on the target.
     fn unpark(&mut self, id: &Arc<str>) -> Vec<Instance> {
         let buffered = self.parked.remove(id).unwrap_or_default();
         if self.streams.contains_key(id) {
-            for instance in buffered {
-                self.ingest(id, Payload::One(instance));
+            if !buffered.is_empty() {
+                self.ingest(id, buffered);
             }
             Vec::new()
         } else {
@@ -1036,17 +1017,18 @@ impl ShardWorker {
             self.bus.publish(ServeEvent { stream: Arc::clone(&id), shard: self.index, kind });
         }
         if let Some(started) = rehydrated_at {
-            self.note_rehydrated(&id, position, started, "migrate");
+            self.note_rehydrated(&id, position, started, &self.rehydrated_on_migrate);
         }
         // Replay in arrival order: instances parked at the source first,
         // then whatever this shard parked while waiting for the state. The
         // park entry must be closed *before* replaying — `ingest` buffers
         // anything parked, so replaying through an open entry would cycle
         // the carried instances back into the buffer behind the local ones.
+        // The whole replay is one ingest pass.
         let mut replay = parked;
         replay.extend(self.parked.remove(&id).unwrap_or_default());
-        for instance in replay {
-            self.ingest(&id, Payload::One(instance));
+        if !replay.is_empty() {
+            self.ingest(&id, replay);
         }
         Ok(())
     }
@@ -1056,7 +1038,11 @@ impl ShardWorker {
     /// reports the exact RunResult an always-hot run would; it takes no
     /// hot slot, since it leaves at once. On a failed resume the cold
     /// slot stays intact.
-    fn finish_stream(&mut self, id: &Arc<str>, trigger: &str) -> Result<RunResult, ServeError> {
+    fn finish_stream(
+        &mut self,
+        id: &Arc<str>,
+        trigger: Arc<Counter>,
+    ) -> Result<RunResult, ServeError> {
         let resumed = match self.streams.get(id) {
             None => return Err(ServeError::UnknownStream(id.to_string())),
             Some(StreamSlot::Hot(_)) => None,
@@ -1064,7 +1050,7 @@ impl ShardWorker {
                 let checkpoint = cold_checkpoint(id, cold)?.checkpoint;
                 let started = Instant::now();
                 let stepper = checkpoint.resume(&self.registry)?;
-                self.note_rehydrated(id, stepper.instances(), started, trigger);
+                self.note_rehydrated(id, stepper.instances(), started, &trigger);
                 Some(stepper)
             }
         };
@@ -1150,4 +1136,176 @@ fn cold_checkpoint(id: &Arc<str>, cold: &ColdStream) -> Result<StreamCheckpoint,
         )));
     }
     Ok(decoded)
+}
+
+#[cfg(test)]
+mod tests {
+    //! Park replay accounting under a fault plane that force-hibernates the
+    //! stepped stream after every ingest message: a replayed park buffer is
+    //! one ingest pass, so it costs one eviction however long it is.
+
+    use super::*;
+    use crate::chaos::{FaultConfig, FaultRate};
+    use rbm_im_streams::generators::GaussianMixtureGenerator;
+    use rbm_im_streams::StreamExt;
+    use std::sync::mpsc::{channel, sync_channel, SyncSender};
+
+    const ID: &str = "feed-00";
+
+    fn schema() -> StreamSchema {
+        StreamSchema::new(ID, 6, 3)
+    }
+
+    fn spec() -> DetectorSpec {
+        DetectorSpec::parse("rbm(minibatch=25, seed=7)").expect("spec")
+    }
+
+    /// A detector micro-batch of 7 against 20-instance messages, so park
+    /// boundaries land mid-batch.
+    fn run() -> RunConfig {
+        RunConfig { metric_window: 100, detector_batch: 7, ..RunConfig::default() }
+    }
+
+    /// Shard workers on their own threads, sharing one metrics registry and
+    /// one fault plane whose hibernate site fires at rate 1.
+    struct Fleet {
+        metrics: MetricsRegistry,
+        inboxes: Vec<SyncSender<ShardMsg>>,
+    }
+
+    impl Fleet {
+        fn start(shards: usize) -> Fleet {
+            let metrics = MetricsRegistry::new();
+            let plane = FaultConfig { hibernate: FaultRate::every(1.0), ..FaultConfig::quiet(3) };
+            let faults = Arc::new(FaultPlane::new(plane));
+            let registry = Arc::new(DetectorRegistry::with_defaults());
+            let bus = Arc::new(EventBus::new());
+            let hot_cap = Arc::new(AtomicUsize::new(usize::MAX));
+            let inboxes = (0..shards)
+                .map(|index| {
+                    let gauge = Arc::new(ShardGauge::for_shard(&metrics, index));
+                    let worker = ShardWorker::new(
+                        index,
+                        Arc::clone(&registry),
+                        Arc::clone(&bus),
+                        gauge,
+                        &metrics,
+                        Arc::clone(&hot_cap),
+                        Some(Arc::clone(&faults)),
+                    );
+                    let (tx, rx) = sync_channel(64);
+                    std::thread::spawn(move || worker.run(rx));
+                    tx
+                })
+                .collect();
+            Fleet { metrics, inboxes }
+        }
+
+        fn send(&self, shard: usize, msg: ShardMsg) {
+            self.inboxes[shard].send(msg).expect("shard alive");
+        }
+
+        fn ask<T>(&self, shard: usize, msg: impl FnOnce(Sender<T>) -> ShardMsg) -> T {
+            let (reply, answer) = channel();
+            self.send(shard, msg(reply));
+            answer.recv().expect("shard reply")
+        }
+
+        /// Attaches the stream on shard 0.
+        fn attach(&self) {
+            let (schema, spec, run) = (schema(), spec(), run());
+            let attach = |reply| ShardMsg::Attach { id: Arc::from(ID), schema, spec, run, reply };
+            self.ask(0, attach).expect("attach");
+        }
+
+        /// Sends `instances` as 20-instance ingest messages.
+        fn ingest(&self, shard: usize, instances: &[Instance]) {
+            for batch in instances.chunks(20) {
+                self.send(shard, ShardMsg::Ingest { id: Arc::from(ID), instances: batch.to_vec() });
+            }
+        }
+
+        fn park(&self, shard: usize) {
+            self.ask(shard, |reply| ShardMsg::Park { ids: vec![Arc::from(ID)], reply });
+        }
+
+        fn dirty_hibernations(&self) -> u64 {
+            self.metrics.counter("rbm_serve_hibernations_total", &[("kind", "dirty")]).get()
+        }
+
+        /// Detaches the stream from `shard`; its result must equal a
+        /// sequential stepper's over `instances`, float bits included.
+        fn detach_matches_sequential(&self, shard: usize, instances: &[Instance]) {
+            let served = self.ask(shard, |reply| ShardMsg::Detach { id: Arc::from(ID), reply });
+            let registry = DetectorRegistry::with_defaults();
+            let mut stepper = PipelineStepper::from_spec(&registry, &spec(), &schema(), run())
+                .expect("sequential stepper");
+            for instance in instances {
+                stepper.step(instance.clone(), &mut |_| {});
+            }
+            let bits = |r: &RunResult| {
+                let floats = [r.pm_auc, r.pm_gmean, r.accuracy, r.kappa].map(f64::to_bits);
+                (r.detector.clone(), r.instances, r.detections.clone(), floats)
+            };
+            let sequential = stepper.finish(ID, &mut |_| {});
+            assert_eq!(bits(&served.expect("detach")), bits(&sequential));
+        }
+    }
+
+    fn feed(len: usize) -> Vec<Instance> {
+        GaussianMixtureGenerator::balanced(6, 3, 2, 11).take_instances(len)
+    }
+
+    /// Park, four ingest messages, then `Unpark` on the stream that never
+    /// left: the buffer replays in place.
+    #[test]
+    fn unpark_replays_the_park_buffer_in_one_pass() {
+        let fleet = Fleet::start(1);
+        let instances = feed(240);
+        fleet.attach();
+        fleet.ingest(0, &instances[..60]);
+        fleet.park(0);
+        fleet.ingest(0, &instances[60..140]);
+        fleet.ask(0, |reply| ShardMsg::Drain { reply });
+        assert_eq!(fleet.dirty_hibernations(), 3, "parked messages do not step");
+        let stragglers = fleet.ask(0, |reply| ShardMsg::Unpark { id: Arc::from(ID), reply });
+        assert!(stragglers.is_empty(), "an attached stream replays its buffer in place");
+        assert_eq!(fleet.dirty_hibernations(), 4, "one replay pass, one eviction");
+        fleet.ingest(0, &instances[140..]);
+        fleet.detach_matches_sequential(0, &instances);
+    }
+
+    /// A migration from shard 0 to shard 1 with instances parked on both
+    /// sides: the carried buffer, then the target's own, replay as one
+    /// pass. With no instances before the park the bundle is hot; after
+    /// some, the plane has left the stream cold.
+    #[test]
+    fn restore_replays_carried_and_local_park_buffers_in_one_pass() {
+        for head in [0, 60] {
+            let fleet = Fleet::start(2);
+            let instances = feed(300);
+            fleet.attach();
+            fleet.ingest(0, &instances[..head]);
+            fleet.park(0);
+            fleet.park(1);
+            fleet.ingest(0, &instances[head..head + 80]);
+            fleet.ingest(1, &instances[head + 80..head + 120]);
+            let bundle = fleet.ask(0, |reply| ShardMsg::Extract { id: Arc::from(ID), reply });
+            let bundle = bundle.expect("extract");
+            assert_eq!(bundle.parked.len(), 80);
+            assert_eq!(matches!(bundle.state, BundleState::Cold { .. }), head > 0);
+            let stragglers = fleet.ask(0, |reply| ShardMsg::Unpark { id: Arc::from(ID), reply });
+            assert!(stragglers.is_empty(), "nothing arrived after the extract");
+            fleet.ask(1, |reply| ShardMsg::Drain { reply });
+            let before = fleet.dirty_hibernations();
+            assert_eq!(before, head as u64 / 20);
+            let kind = RestoreKind::Migration { from_shard: 0 };
+            fleet
+                .ask(1, |reply| ShardMsg::Restore { id: Arc::from(ID), bundle, kind, reply })
+                .expect("restore");
+            assert_eq!(fleet.dirty_hibernations() - before, 1, "one replay pass, one eviction");
+            fleet.ingest(1, &instances[head + 120..]);
+            fleet.detach_matches_sequential(1, &instances);
+        }
+    }
 }

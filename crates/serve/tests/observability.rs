@@ -20,7 +20,7 @@ fn scrape_exposes_per_shard_ingest_quantiles_and_health() {
     let spec = DetectorSpec::parse("rbm(minibatch=25)").expect("spec");
     let client = server.attach("feed-00", stream.schema().clone(), &spec).expect("attach");
     for instance in stream.take_instances(300) {
-        client.ingest(instance).expect("ingest");
+        client.ingest_batch(vec![instance]).expect("ingest");
     }
     server.drain();
 

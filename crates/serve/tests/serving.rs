@@ -306,7 +306,7 @@ impl DriftDetector for GateDetector {
 }
 
 /// Backpressure is explicit: once the shard worker is held mid-step and the
-/// bounded queue is full, `try_ingest` fails fast with `Full` and returns
+/// bounded queue is full, `try_ingest_batch` fails fast with `Full` and returns
 /// the rejected instance; after the gate opens, everything queued is
 /// processed.
 #[test]
@@ -335,7 +335,7 @@ fn try_ingest_reports_backpressure_on_a_full_queue() {
 
     // First instance: wait until the worker is provably holding it inside
     // the detector (so the queue is empty again and counts are exact).
-    client.try_ingest(instance(0)).unwrap();
+    client.try_ingest_batch(vec![instance(0)]).unwrap();
     {
         let (lock, condvar) = &*gate;
         let mut state = lock.lock().unwrap();
@@ -346,9 +346,9 @@ fn try_ingest_reports_backpressure_on_a_full_queue() {
 
     // Fill the queue exactly, then observe explicit backpressure.
     for i in 0..capacity as u64 {
-        client.try_ingest(instance(1 + i)).unwrap();
+        client.try_ingest_batch(vec![instance(1 + i)]).unwrap();
     }
-    let rejected = match client.try_ingest(instance(99)) {
+    let rejected = match client.try_ingest_batch(vec![instance(99)]) {
         Err(IngestError::Full(rejected)) => rejected,
         other => panic!("expected Full, got {other:?}"),
     };
@@ -386,7 +386,7 @@ fn lifecycle_errors_and_unknown_ingest_are_surfaced() {
 
     // Ingest for an unattached id is dropped and accounted, never lost
     // silently.
-    server.try_ingest("ghost", Instance::new(vec![0.0, 0.0, 0.0], 0)).unwrap();
+    server.client("ghost").try_ingest_batch(vec![Instance::new(vec![0.0, 0.0, 0.0], 0)]).unwrap();
     server.drain();
     let report = server.shutdown();
     assert_eq!(report.dropped_unknown, 1);
@@ -415,7 +415,7 @@ fn malformed_instances_are_counted_and_never_reach_a_stepper() {
         Instance::with_index(vec![0.5; bad.schema.num_features], bad.schema.num_classes, 10_001);
     let (head, tail) = bad.instances.split_at(1_000);
     ingest_all(&clients[0], head.to_vec());
-    clients[0].ingest(wrong_length).unwrap();
+    clients[0].ingest_batch(vec![wrong_length]).unwrap();
     let mut batch = tail[..50].to_vec();
     batch.push(wrong_class);
     batch.extend_from_slice(&tail[50..100]);

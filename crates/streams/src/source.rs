@@ -1,12 +1,14 @@
 //! Stream-id'd, replayable stream sources.
 //!
-//! The serving layer and the experiment grid both need the same thing from
-//! a stream: not one live iterator but a *named recipe* that can be opened
-//! any number of times, each opening yielding the identical instance
-//! sequence. [`StreamSource`] is that recipe — an id, a schema, and a
-//! deterministic factory. Replayability is what makes end-to-end results
-//! pinnable: a serving run and a sequential [`PipelineBuilder`] run over
-//! fresh openings of the same source must agree bitwise.
+//! A fleet feeder needs a *named recipe* for a stream, not one live
+//! iterator: a recipe that can be opened any number of times, each opening
+//! yielding the identical instance sequence. [`StreamSource`] is that
+//! recipe — an id, a schema, and a deterministic factory; the
+//! `serve_fraud_feeds` examples open their fleets from it (the experiment
+//! grid has its own `GridStream` in the harness). Replayability is what
+//! makes end-to-end results pinnable: a serving run and a sequential
+//! [`PipelineBuilder`] run over fresh openings of the same source must
+//! agree bitwise.
 //!
 //! [`ReplayStream`] is the simplest source backing: a recorded instance
 //! vector played back in order (tests record a live stream once, then
@@ -25,7 +27,7 @@ use std::sync::Arc;
 /// id, then SplitMix64-style finalization). Same base + same id ⇒ same
 /// seed; different ids are decorrelated. This is the single definition the
 /// whole workspace uses (the harness grid and the serving layer both
-/// delegate here).
+/// call it).
 pub fn derive_stream_seed(base: u64, id: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in id.bytes() {
